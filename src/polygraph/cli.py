@@ -3,7 +3,7 @@
 All algebra commands need a graph file (``-g``); output is deterministic for
 fixed inputs.  Domain failures (no quotient, no common multiple, zero input)
 print "none"/"0" and exit 1 so shell pipelines can branch; usage and parse
-errors exit 2.
+errors, and inputs too deep for the interpreter's recursion limit, exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import checks, gproduct, ihull, ragroup
-from .gproduct import GPElement, make_element
+from .gproduct import make_element
 from .graph import GraphError, GraphProduct, parse_graph
 
 
@@ -85,10 +85,6 @@ def _load_graph(args) -> GraphProduct:
     return parse_graph(Path(args.graph).read_text())
 
 
-def _word(gp: GraphProduct, text: str) -> GPElement:
-    return make_element(gp, text)
-
-
 def _run(args) -> int:
     if args.command == "check":
         results = checks.run_all(args.seed, args.max_len, args.max_vertices)
@@ -111,29 +107,29 @@ def _run(args) -> int:
     gp = _load_graph(args)
 
     if args.command == "nf":
-        _emit(args, str(_word(gp, args.word)))
+        _emit(args, str(make_element(gp, args.word)))
     elif args.command == "eq":
-        _emit(args, "true" if _word(gp, args.w1) == _word(gp, args.w2) else "false")
+        _emit(args, "true" if make_element(gp, args.w1) == make_element(gp, args.w2) else "false")
     elif args.command == "mul":
-        _emit(args, str(_word(gp, args.w1) * _word(gp, args.w2)))
+        _emit(args, str(make_element(gp, args.w1) * make_element(gp, args.w2)))
     elif args.command == "divide":
-        b = gproduct.right_divide(_word(gp, args.a), _word(gp, args.c))
+        b = gproduct.right_divide(make_element(gp, args.a), make_element(gp, args.c))
         if b is None:
             _emit(args, "none", status="none")
             return 1
         _emit(args, str(b))
     elif args.command == "final":
-        d, comp = gproduct.final_component(_word(gp, args.word), args.vertex)
+        d, comp = gproduct.final_component(make_element(gp, args.word), args.vertex)
         _emit(args, f"{'1' if d is None else d} | {comp}")
     elif args.command == "lclm":
-        res = gproduct.lclm(_word(gp, args.b), _word(gp, args.c))
+        res = gproduct.lclm(make_element(gp, args.b), make_element(gp, args.c))
         if res is None:
             _emit(args, "none", status="none")
             return 1
         s, t, m = res
         _emit(args, f"{s} | {t} | {m}")
     elif args.command == "hclf":
-        _emit(args, str(gproduct.hclf(_word(gp, args.a), _word(gp, args.b))))
+        _emit(args, str(gproduct.hclf(make_element(gp, args.a), make_element(gp, args.b))))
     elif args.command == "ih":
         elems = [ihull.parse_ihelement(gp, e) for e in args.elems]
         if args.ih_command == "mul":
@@ -166,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError, RecursionError) as exc:
         if args.format == "json":
             print(json.dumps({"result": None, "status": "error", "detail": str(exc)}))
         else:

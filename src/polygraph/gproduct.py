@@ -9,7 +9,9 @@ is equality of expressions.
 Component payloads: monogenic components store a positive exponent, free
 components a nonempty letter tuple.  Neither kind has nontrivial units and no
 product of nonidentity elements is the identity, which the algorithms below
-rely on (amalgamation never deletes).
+rely on (amalgamation never deletes a monoid syllable).  The normal-form
+kernel ``shuffle_reduce`` also serves the graph group, whose syllables carry
+signed exponents that can cancel.
 """
 
 from __future__ import annotations
@@ -158,17 +160,18 @@ def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
                 raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
 
 
-def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
-    """Canonical form of an arbitrary expression sequence.
+def shuffle_reduce(
+    gp: GraphProduct, syllables: Iterable[ComponentElement]
+) -> tuple[ComponentElement, ...]:
+    """Canonical reduced expression of already-validated syllables.
 
-    First amalgamates every pair of same-vertex components separated only by
-    adjacent-vertex components, then repeatedly emits the least-vertex
-    component that can be shuffled to the front.
+    First amalgamates every pair of same-vertex syllables separated only by
+    adjacent-vertex syllables, dropping any amalgam whose payload is the
+    identity, then repeatedly emits the least-vertex syllable that can be
+    shuffled to the front.  Payloads of the monoid never amalgamate to the
+    identity; the signed exponents of the graph group can.
     """
-    comps = [ce if isinstance(ce, ComponentElement) else ComponentElement(*ce) for ce in raw]
-    for ce in comps:
-        _validate_component(gp, ce)
-
+    comps = list(syllables)
     adjacent = gp.adjacent
 
     # amalgamation fixpoint
@@ -181,16 +184,21 @@ def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
             j = i + 1
             while j < len(comps):
                 if comps[j].vertex == v:
-                    comps[i] = ComponentElement(v, comp_mul(comps[i].payload, comps[j].payload))
+                    payload = comp_mul(comps[i].payload, comps[j].payload)
                     del comps[j]
                     changed = True
+                    if _is_identity_payload(payload):
+                        del comps[i]
+                        break
+                    comps[i] = ComponentElement(v, payload)
                     continue
                 if not adjacent(comps[j].vertex, v):
                     break
                 j += 1
             i += 1
 
-    # greedy least-vertex-first extraction
+    # greedy least-vertex-first extraction; at most one syllable of each
+    # vertex can be shuffled to the front of a reduced expression
     vindex = gp.vertex_index
     out: list[ComponentElement] = []
     while comps:
@@ -202,8 +210,15 @@ def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
                 if best_key is None or key < best_key:
                     best_key, best_pos = key, pos
         out.append(comps.pop(best_pos))
+    return tuple(out)
 
-    return GPElement(gp, tuple(out))
+
+def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
+    """Canonical form of an arbitrary expression sequence."""
+    comps = [ce if isinstance(ce, ComponentElement) else ComponentElement(*ce) for ce in raw]
+    for ce in comps:
+        _validate_component(gp, ce)
+    return GPElement(gp, shuffle_reduce(gp, comps))
 
 
 def _tokenize(word: str | Iterable) -> list[tuple[str, int]]:
@@ -420,7 +435,8 @@ def lclm(b: GPElement, c: GPElement) -> Optional[tuple[GPElement, GPElement, GPE
         return None
     s, t = res
     m = multiply(s, b)
-    assert m == multiply(t, c)
+    if m != multiply(t, c):
+        raise RuntimeError(f"lclm invariant broken: {s} * {b} != {t} * {c}")
     return s, t, m
 
 

@@ -204,8 +204,3 @@ def format_graph(gp: GraphProduct) -> str:
     for u, v in gp.graph.edge_pairs():
         lines.append(f"edge {u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def are_adjacent(gp: GraphProduct | Graph, u: str, v: str) -> bool:
-    g = gp.graph if isinstance(gp, GraphProduct) else gp
-    return g.adjacent(u, v)

@@ -10,11 +10,11 @@ graph, generalizing the bicyclic and polycyclic monoids.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .gproduct import (
+    _TOKEN_RE,
     GPElement,
     component_embed,
     identity,
@@ -65,8 +65,6 @@ class IHPair:
 IHElement = Union[IHPair, _Zero]
 
 SignedToken = tuple[str, int]  # (letter, +1 or -1)
-
-_SIGNED_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
     for tok in text.split():
         if tok == "1":
             continue
-        m = _SIGNED_RE.match(tok)
+        m = _TOKEN_RE.match(tok)
         if not m:
             raise ValueError(f"bad signed token {tok!r}")
         letter, exp = m.group(1), int(m.group(2)) if m.group(2) else 1

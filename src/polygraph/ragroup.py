@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .gproduct import ComponentElement, shuffle_reduce
 from .graph import GraphProduct
 from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, format_pgword, parse_pgword
 
@@ -53,48 +54,24 @@ def _require_mono(gp: GraphProduct) -> None:
 
 
 def group_reduce(gp: GraphProduct, word: str | Iterable[SignedToken]) -> GroupWord:
-    """Cancel shuffle-adjacent inverse pairs to a fixpoint, then take the
-    greedy lexicographic canonical form."""
+    """Reduced word of a signed word: the normal-form kernel applied to its
+    letters as syllables with exponent +1 or -1."""
     _require_mono(gp)
-    tokens = list(parse_pgword(word))
-    for letter, _ in tokens:
+    syllables = []
+    for letter, sign in parse_pgword(word):
         gp.vertex_index(letter)
+        if sign not in (1, -1):
+            raise ValueError(f"sign of {letter!r} must be 1 or -1, not {sign!r}")
+        syllables.append(ComponentElement(letter, sign))
+    return _group_word(gp, syllables)
 
-    adjacent = gp.adjacent
 
-    # cancellation fixpoint: a pair x^e ... x^-e cancels when every token
-    # between commutes with x
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tokens)):
-            li, si = tokens[i]
-            for j in range(i + 1, len(tokens)):
-                lj, sj = tokens[j]
-                if lj == li:
-                    if sj == -si:
-                        del tokens[j]
-                        del tokens[i]
-                        changed = True
-                    break
-                if not adjacent(li, lj):
-                    break
-            if changed:
-                break
-
-    vindex = gp.vertex_index
-    out: list[SignedToken] = []
-    while tokens:
-        best_pos = None
-        best_key = None
-        for pos, (letter, sign) in enumerate(tokens):
-            if all(prev != letter and adjacent(prev, letter) for prev, _ in tokens[:pos]):
-                key = (vindex(letter), 0 if sign > 0 else 1)
-                if best_key is None or key < best_key:
-                    best_key, best_pos = key, pos
-        out.append(tokens.pop(best_pos))
-
-    return GroupWord(gp, tuple(out))
+def _group_word(gp: GraphProduct, syllables: Iterable[ComponentElement]) -> GroupWord:
+    letters: list[SignedToken] = []
+    for ce in shuffle_reduce(gp, syllables):
+        sign = 1 if ce.payload > 0 else -1
+        letters.extend([(ce.vertex, sign)] * abs(ce.payload))
+    return GroupWord(gp, tuple(letters))
 
 
 def group_identity(gp: GraphProduct) -> GroupWord:
@@ -109,12 +86,9 @@ def eta(s: IHElement, gp: GraphProduct | None = None) -> GroupOrZero:
         if gp is not None:
             _require_mono(gp)
         return ZERO
-    assert isinstance(s, IHPair)
+    if not isinstance(s, IHPair):
+        raise TypeError(f"eta needs an inverse-hull element, not {type(s).__name__}")
     gp = s.a.gp
     _require_mono(gp)
-    tokens: list[SignedToken] = []
-    for ce in reversed(s.a.expr):
-        tokens.extend((ce.vertex, -1) for _ in range(ce.payload))
-    for ce in s.b.expr:
-        tokens.extend((ce.vertex, 1) for _ in range(ce.payload))
-    return group_reduce(gp, tokens)
+    inverse_a = [ComponentElement(ce.vertex, -ce.payload) for ce in reversed(s.a.expr)]
+    return _group_word(gp, inverse_a + list(s.b.expr))

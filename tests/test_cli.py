@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polygraph import gproduct
 from polygraph.builtin import BUILTIN_GRAPH_TEXTS
 from polygraph.cli import main
 
@@ -115,6 +116,19 @@ def test_parse_error_exit_2(capsys, p3_file):
 def test_missing_graph_exit_2(capsys):
     code, _, err = run(capsys, "nf", "x1")
     assert code == 2
+
+
+def test_recursion_error_exit_2(capsys, monkeypatch, p3_file):
+    def too_deep(b, c):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(gproduct, "lclm", too_deep)
+    code, out, err = run(capsys, "-g", p3_file, "lclm", "x1", "x2")
+    assert (code, out) == (2, "")
+    assert err == "error: maximum recursion depth exceeded\n"
+    code, out, _ = run(capsys, "--format", "json", "-g", p3_file, "lclm", "x1", "x2")
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
 
 
 def test_deterministic_output(capsys, p3_file):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from polygraph.graph import GraphError, are_adjacent, format_graph, parse_graph
+from polygraph.graph import GraphError, format_graph, parse_graph
 
 from conftest import graph_products
 
@@ -46,14 +46,14 @@ def test_parse_errors(text):
 
 
 def test_adjacency_examples(p3):
-    assert are_adjacent(p3, "x1", "x2")
-    assert not are_adjacent(p3, "x1", "x3")
-    assert not are_adjacent(p3, "x1", "x1")
+    assert p3.adjacent("x1", "x2")
+    assert not p3.adjacent("x1", "x3")
+    assert not p3.adjacent("x1", "x1")
 
 
 def test_adjacency_undeclared(p3):
     with pytest.raises(GraphError):
-        are_adjacent(p3, "x1", "nope")
+        p3.adjacent("x1", "nope")
 
 
 @given(graph_products())

@@ -21,10 +21,49 @@ def signed_words(gp, max_len=6):
     )
 
 
+def signed_shuffle_class(gp, word):
+    """Every signed word reachable from ``word`` by commuting swaps."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(len(cur) - 1):
+            if gp.adjacent(cur[i][0], cur[i + 1][0]):
+                nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def reference_reduce(gp, word):
+    """Brute-force group_reduce: cancel an adjacent x x^-1 pair anywhere in
+    the shuffle class until none is left, then take the least word of the
+    class under (vertex index, + before -)."""
+    word = tuple(word)
+    while True:
+        words = signed_shuffle_class(gp, word)
+        cancellable = [
+            w[:i] + w[i + 2:]
+            for w in words
+            for i in range(len(w) - 1)
+            if w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]
+        ]
+        if not cancellable:
+            return min(words, key=lambda w: [(gp.vertex_index(l), -s) for l, s in w])
+        word = cancellable[0]
+
+
 def test_reduce_examples(p3):
     assert str(group_reduce(p3, "x1 x2 x1^-1")) == "x2"
     assert str(group_reduce(p3, "x1 x3 x1^-1")) == "x1 x3 x1^-1"
     assert str(group_reduce(p3, "x1 x1^-1")) == "1"
+
+
+def test_reduce_rejects_bad_sign(p3):
+    for sign in (0, 2):
+        with pytest.raises(ValueError):
+            group_reduce(p3, [("x1", sign)])
 
 
 def test_reduce_requires_mono(mixed):
@@ -46,18 +85,15 @@ def test_reduce_constant_on_shuffle_classes(gp, data):
     w = tuple(data.draw(signed_words(gp, max_len=5)))
     r = group_reduce(gp, w)
     # commuting swaps of signed letters never change the reduced form
-    seen = {w}
-    frontier = [w]
-    while frontier and len(seen) < 200:
-        cur = frontier.pop()
-        for i in range(len(cur) - 1):
-            if gp.adjacent(cur[i][0], cur[i + 1][0]):
-                nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    for other in seen:
+    for other in signed_shuffle_class(gp, w):
         assert group_reduce(gp, other) == r
+
+
+@given(mono_graphs(max_vertices=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduce_matches_brute_force(gp, data):
+    w = data.draw(signed_words(gp, max_len=7))
+    assert group_reduce(gp, w).letters == reference_reduce(gp, w)
 
 
 @given(mono_graphs(), st.data())
@@ -84,6 +120,20 @@ def test_eta_examples(p3):
     assert eta(IHPair(make_element(p3, "x1"), make_element(p3, "x1"))).is_identity()
     assert str(eta(IHPair(make_element(p3, "x2"), make_element(p3, "x1")))) == "x1 x2^-1"
     assert eta(ZERO) is ZERO
+
+
+def test_eta_long_runs(p3):
+    a = make_element(p3, "x1^30 x3^40 x2^31")
+    b = make_element(p3, "x3^35 x2^50 x1^33")
+    a_inverse = " ".join(f"{ce.vertex}^{-ce.payload}" for ce in reversed(a.expr))
+    h = eta(IHPair(a, b))
+    assert h == group_reduce(p3, f"{a_inverse} {b}")
+    assert str(h) == "x2^19 x3^-40 x1^-30 x3^35 x1^33"
+
+
+def test_eta_rejects_non_element():
+    with pytest.raises(TypeError):
+        eta("x")
 
 
 def test_eta_requires_mono(mixed):
