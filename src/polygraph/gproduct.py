@@ -373,55 +373,47 @@ def left_divide(a: GPElement, c: GPElement) -> Optional[GPElement]:
     return cur
 
 
-def _posneg_single(
-    c: GPElement, dce: ComponentElement
-) -> Optional[tuple[GPElement, GPElement]]:
-    """Rewrite (translation by c) . (inverse translation by dce).
+def _posneg(c: GPElement, d: GPElement) -> Optional[tuple[GPElement, GPElement]]:
+    """Full positive/negative reduction: (s, t) with s*c = t*d the least
+    common left multiple, or None when there is none.
 
-    Returns (a, b) with the composite equal to inverse-translation by a
-    followed by translation by b, where a has at most one component; None
-    when the composite is the zero map.
+    Read as translation by c followed by inverse translation by d, rewritten
+    as inverse translation by s followed by translation by t.  Like subword
+    reversing, d is peeled one syllable at a time from the right, starting
+    from t = c.  The peeled syllable is carried leftwards through t: it passes
+    a syllable of an adjacent vertex, meets one of its own vertex in a
+    component lclm, and has no common multiple with any other.  What is left
+    of it, a, and the rewritten t' satisfy a*t = t'*(peeled syllable); a joins
+    s and t' replaces t.  Any syllable sequence for t serves, so s and t stay
+    raw syllable lists and are reduced once at the end.
     """
     gp = c.gp
-    if c.is_identity():
-        return GPElement(gp, (dce,)), c
-    c1, rest = c.expr[0], normal_form(gp, c.expr[1:])
-    sub = _posneg_single(rest, dce)
-    if sub is None:
-        return None
-    a, b = sub
-    if a.is_identity():
-        return a, multiply(GPElement(gp, (c1,)), b)
-    ace = a.expr[0]
-    if c1.vertex == ace.vertex:
-        res = comp_lclm(c1.payload, ace.payload)
-        if res is None:
-            return None
-        s, t, _ = res
-        return (
-            component_embed(gp, c1.vertex, s),
-            multiply(component_embed(gp, c1.vertex, t), b),
-        )
-    if gp.adjacent(c1.vertex, ace.vertex):
-        return a, multiply(GPElement(gp, (c1,)), b)
-    return None
-
-
-def _posneg(c: GPElement, d: GPElement) -> Optional[tuple[GPElement, GPElement]]:
-    """Full positive/negative reduction: translation by c then inverse
-    translation by d, peeling d one component at a time from the right."""
     if d.is_identity():
-        return identity(c.gp), c
-    dpre = normal_form(d.gp, d.expr[:-1])
-    sub1 = _posneg_single(c, d.expr[-1])
-    if sub1 is None:
-        return None
-    a1, b1 = sub1
-    sub2 = _posneg(b1, dpre)
-    if sub2 is None:
-        return None
-    a2, b2 = sub2
-    return multiply(a2, a1), b2
+        return identity(gp), c
+    t = list(c.expr)
+    s: list[ComponentElement] = []  # right to left
+    for dce in reversed(d.expr):
+        a: Optional[ComponentElement] = dce
+        b: list[ComponentElement] = []  # right to left
+        for ce in reversed(t):
+            if a is None or (ce.vertex != a.vertex and gp.adjacent(ce.vertex, a.vertex)):
+                b.append(ce)
+            elif ce.vertex == a.vertex:
+                res = comp_lclm(ce.payload, a.payload)
+                if res is None:
+                    return None
+                sa, tc, _ = res
+                a = None if _is_identity_payload(sa) else ComponentElement(ce.vertex, sa)
+                if not _is_identity_payload(tc):
+                    b.append(ComponentElement(ce.vertex, tc))
+            else:
+                return None
+        b.reverse()
+        t = b
+        if a is not None:
+            s.append(a)
+    s.reverse()
+    return GPElement(gp, shuffle_reduce(gp, s)), GPElement(gp, shuffle_reduce(gp, t))
 
 
 def lclm(b: GPElement, c: GPElement) -> Optional[tuple[GPElement, GPElement, GPElement]]:

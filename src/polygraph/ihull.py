@@ -11,7 +11,8 @@ graph, generalizing the bicyclic and polycyclic monoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from itertools import groupby
+from typing import Iterable, Iterator
 
 from .gproduct import (
     _TOKEN_RE,
@@ -62,7 +63,7 @@ class IHPair:
         return f"<IHPair {self}>"
 
 
-IHElement = Union[IHPair, _Zero]
+IHElement = IHPair | _Zero
 
 SignedToken = tuple[str, int]  # (letter, +1 or -1)
 
@@ -143,11 +144,9 @@ def green_H(s: IHElement, t: IHElement) -> bool:
 # ---------------------------------------------------------------------------
 # signed words
 
-def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
-    """Signed-word syntax: letter tokens with optional ``^k`` / ``^-k``."""
-    if not isinstance(text, str):
-        return tuple(text)
-    out: list[SignedToken] = []
+def _exponent_tokens(text: str) -> Iterator[tuple[str, int]]:
+    """(letter, signed exponent) of each token of the signed-word syntax;
+    a run ``x^k`` stays one pair."""
     for tok in text.split():
         if tok == "1":
             continue
@@ -157,8 +156,24 @@ def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
         letter, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
         if exp == 0:
             raise ValueError(f"zero exponent on {letter!r}")
-        sign = 1 if exp > 0 else -1
-        out.extend((letter, sign) for _ in range(abs(exp)))
+        yield letter, exp
+
+
+def _checked_sign(token: SignedToken) -> SignedToken:
+    letter, sign = token
+    if sign not in (1, -1):
+        raise ValueError(f"sign of {letter!r} must be 1 or -1, not {sign!r}")
+    return token
+
+
+def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
+    """Signed-word syntax: letter tokens with optional ``^k`` / ``^-k``.
+    Tokens given as (letter, sign) pairs must have sign 1 or -1."""
+    if not isinstance(text, str):
+        return tuple(map(_checked_sign, text))
+    out: list[SignedToken] = []
+    for letter, exp in _exponent_tokens(text):
+        out.extend([(letter, 1 if exp > 0 else -1)] * abs(exp))
     return tuple(out)
 
 
@@ -180,13 +195,25 @@ def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
     return " ".join(parts)
 
 
+def _runs(word: str | Iterable[SignedToken]) -> Iterator[tuple[str, int]]:
+    """Maximal runs of a signed word as (letter, signed exponent);
+    neighbouring tokens of the same signed letter merge."""
+    pairs = _exponent_tokens(word) if isinstance(word, str) else parse_pgword(word)
+    for (letter, _), run in groupby(pairs, key=lambda p: (p[0], p[1] > 0)):
+        yield letter, sum(exp for _, exp in run)
+
+
 def eval_word(gp: GraphProduct, word: str | Iterable[SignedToken]) -> IHElement:
-    """Evaluate a signed word: g maps to (1, g), g^-1 to (g, 1)."""
+    """Evaluate a signed word: g maps to (1, g), g^-1 to (g, 1).
+
+    Since (1, g)^k = (1, g^k) and (g, 1)^k = (g^k, 1), each maximal run of a
+    signed letter costs one inverse-hull product.
+    """
+    one = identity(gp)
     acc: IHElement = ih_identity(gp)
-    for letter, sign in parse_pgword(word):
-        g = make_element(gp, [(letter, 1)])
-        factor = IHPair(identity(gp), g) if sign > 0 else IHPair(g, identity(gp))
-        acc = ih_multiply(acc, factor)
+    for letter, exp in _runs(word):
+        g = make_element(gp, [(letter, abs(exp))])
+        acc = ih_multiply(acc, IHPair(one, g) if exp > 0 else IHPair(g, one))
     return acc
 
 

@@ -11,7 +11,7 @@ witness that the polygraph monoid is strongly E*-unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .gproduct import ComponentElement, shuffle_reduce
 from .graph import GraphProduct
@@ -45,7 +45,7 @@ class GroupWord:
         return f"<GroupWord {self}>"
 
 
-GroupOrZero = Union[GroupWord, _Zero]
+GroupOrZero = GroupWord | _Zero
 
 
 def _require_mono(gp: GraphProduct) -> None:
@@ -60,8 +60,6 @@ def group_reduce(gp: GraphProduct, word: str | Iterable[SignedToken]) -> GroupWo
     syllables = []
     for letter, sign in parse_pgword(word):
         gp.vertex_index(letter)
-        if sign not in (1, -1):
-            raise ValueError(f"sign of {letter!r} must be 1 or -1, not {sign!r}")
         syllables.append(ComponentElement(letter, sign))
     return _group_word(gp, syllables)
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +231,20 @@ def test_lclm_matches_oracle(gw):
         s, t, m = got
         assert m == want
         assert m == multiply(s, b) == multiply(t, c)
+
+
+def test_lclm_long_word_without_recursion():
+    gp = builtin("k2_edgeless")
+    b = make_element(gp, "x1 x2 " * 300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        s, t, m = lclm(b, make_element(gp, "x2"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s == identity(gp)
+    assert t == make_element(gp, "x1 x2 " * 299 + "x1")
+    assert m == b
 
 
 def test_lclm_single_vertex_matches_component_rule(p3):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +29,7 @@ from polygraph.ihull import (
     parse_ihelement,
 )
 
-from conftest import graph_and_words, word_element
+from conftest import BUILTIN_NAMES, graph_and_words, graph_products, word_element
 
 
 def pair(gp, a, b):
@@ -202,6 +207,55 @@ def test_eval_word_mixed_alphabet(mixed):
     assert eval_word(mixed, "p q^-1") is ZERO  # distinct letters of one free vertex
 
 
+def eval_by_letters(gp, tokens):
+    """Reference: one inverse-hull product per signed letter."""
+    one = identity(gp)
+    acc = ih_identity(gp)
+    for letter, sign in tokens:
+        g = make_element(gp, letter)
+        acc = ih_multiply(acc, IHPair(one, g) if sign > 0 else IHPair(g, one))
+    return acc
+
+
+@st.composite
+def graph_and_runs(draw):
+    gp = draw(st.sampled_from(BUILTIN_NAMES).map(builtin) | graph_products())
+    letters = gp.components.all_letters()
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(letters), st.sampled_from([1, -1]), st.integers(1, 20)),
+        max_size=5,
+    ))
+    return gp, runs
+
+
+@given(graph_and_runs())
+@settings(max_examples=60, deadline=None)
+def test_eval_word_matches_letter_fold(gr):
+    gp, runs = gr
+    text = " ".join(f"{letter}^{sign * k}" for letter, sign, k in runs)
+    tokens = [(letter, sign) for letter, sign, k in runs for _ in range(k)]
+    want = eval_by_letters(gp, tokens)
+    assert eval_word(gp, text) == want
+    assert eval_word(gp, tokens) == want
+
+
+def test_eval_word_long_runs(p3, mixed):
+    assert eval_word(p3, "x1^100000") == pair(p3, "1", "x1^100000")
+    assert eval_word(p3, "x1^99999 x1^-100000") == pair(p3, "x1", "1")
+    assert eval_word(mixed, "p^100000") == pair(mixed, "1", "p^100000")
+    assert eval_word(mixed, "p^50000 p^-50000") == ih_identity(mixed)
+
+
+def test_eval_word_merges_runs(p3):
+    assert eval_word(p3, "x1 x1^2 x2^-1 x2^-1") == eval_word(p3, "x1^3 x2^-2")
+
+
+@pytest.mark.parametrize("sign", [2, 0])
+def test_eval_word_rejects_bad_sign(p3, sign):
+    with pytest.raises(ValueError):
+        eval_word(p3, [("x1", sign)])
+
+
 # ---------------------------------------------------------------------------
 # presentation
 
@@ -282,3 +336,25 @@ def test_parse_ihelement_errors(p3):
         parse_ihelement(p3, "[x1]")
     with pytest.raises(ValueError):
         parse_ihelement(p3, "x1 | x2")
+
+
+def test_reimport_frees_old_classes():
+    # a re-imported package must not keep the old module alive, e.g. through
+    # typing's cache of Union[...] aliases
+    code = (
+        "import gc, sys, weakref\n"
+        "import polygraph\n"
+        "refs = [weakref.ref(polygraph.ihull.IHPair), weakref.ref(polygraph.ragroup.GroupWord)]\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'polygraph']:\n"
+        "    del sys.modules[name]\n"
+        "del polygraph\n"
+        "import polygraph\n"
+        "gc.collect()\n"
+        "assert all(r() is None for r in refs), 'old classes still alive'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
