@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from .graph import GraphProduct, parse_graph
 
+DEFAULT_SEED = 20240824  # seed of the property suites behind ``polygraph check``
+
 BUILTIN_GRAPH_TEXTS: dict[str, str] = {
     "single": "vertex x mono\n",
     "k2_edgeless": "vertex x1 mono\nvertex x2 mono\n",

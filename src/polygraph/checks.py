@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import gproduct, ihull, oracle, ragroup
-from .builtin import BUILTIN_GRAPH_TEXTS, builtin, all_mono_graphs
+from .builtin import BUILTIN_GRAPH_TEXTS, DEFAULT_SEED, builtin, all_mono_graphs
 from .gproduct import GPElement, make_element, multiply, right_divide
 from .graph import GraphProduct
-
-DEFAULT_SEED = 20240824
 
 
 @dataclass

@@ -17,22 +17,33 @@ signed exponents that can cancel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
 
-from .graph import GraphError, GraphProduct
+from .graph import GraphProduct, Value
 
-Payload = Union[int, tuple[str, ...]]
+Payload = int | tuple[str, ...]
 
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
 
-@dataclass(frozen=True)
-class ComponentElement:
+class ComponentElement(Value):
     """A single nonidentity element of one vertex's component."""
 
+    __slots__ = _fields = ("vertex", "payload")
     vertex: str
     payload: Payload
+
+    def __init__(self, vertex: str, payload: Payload) -> None:
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex == other.vertex and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash((self.vertex, self.payload))
 
     def __str__(self) -> str:
         if isinstance(self.payload, int):
@@ -50,12 +61,24 @@ def _collapse_letters(letters: Sequence[str]) -> Iterator[str]:
         i = j
 
 
-@dataclass(frozen=True)
-class GPElement:
+class GPElement(Value):
     """Canonical reduced expression of a graph-product element."""
 
+    __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
     expr: tuple[ComponentElement, ...]
+
+    def __init__(self, gp: GraphProduct, expr: tuple[ComponentElement, ...]) -> None:
+        object.__setattr__(self, "gp", gp)
+        object.__setattr__(self, "expr", expr)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gp, self.expr) == (other.gp, other.expr)
+
+    def __hash__(self) -> int:
+        return hash((self.gp, self.expr))
 
     @property
     def length(self) -> int:
@@ -95,7 +118,7 @@ def comp_mul(x: Payload, y: Payload) -> Payload:
     return x + y  # int addition or tuple concatenation
 
 
-def comp_right_divide(x: Payload, y: Payload) -> Optional[Payload]:
+def comp_right_divide(x: Payload, y: Payload) -> Payload | None:
     """r with x = r * y inside the component, or None."""
     if isinstance(x, int):
         return x - y if x >= y else None
@@ -104,7 +127,7 @@ def comp_right_divide(x: Payload, y: Payload) -> Optional[Payload]:
     return None
 
 
-def comp_left_divide(x: Payload, y: Payload) -> Optional[Payload]:
+def comp_left_divide(x: Payload, y: Payload) -> Payload | None:
     """r with x = y * r inside the component, or None."""
     if isinstance(x, int):
         return x - y if x >= y else None
@@ -113,7 +136,7 @@ def comp_left_divide(x: Payload, y: Payload) -> Optional[Payload]:
     return None
 
 
-def comp_lclm(x: Payload, y: Payload) -> Optional[tuple[Payload, Payload, Payload]]:
+def comp_lclm(x: Payload, y: Payload) -> tuple[Payload, Payload, Payload] | None:
     """(s, t, m) with m = s*x = t*y generating the intersection, or None.
 
     In a free monoid two elements have a common left multiple exactly when
@@ -165,51 +188,49 @@ def shuffle_reduce(
 ) -> tuple[ComponentElement, ...]:
     """Canonical reduced expression of already-validated syllables.
 
-    First amalgamates every pair of same-vertex syllables separated only by
-    adjacent-vertex syllables, dropping any amalgam whose payload is the
-    identity, then repeatedly emits the least-vertex syllable that can be
-    shuffled to the front.  Payloads of the monoid never amalgamate to the
-    identity; the signed exponents of the graph group can.
+    Piles the syllables as a heap of pieces, one stack of live positions per
+    vertex.  An incoming syllable amalgamates with the top of its vertex's
+    stack when no live syllable of a non-adjacent vertex lies above it; an
+    amalgam with identity payload (only signed group exponents give one) is
+    dropped, which never makes two remaining syllables mergeable.  Otherwise
+    the syllable is pushed.  The least-vertex-first form is then read off:
+    repeatedly emit the least vertex whose first remaining syllable precedes
+    those of all its non-adjacent vertices.  O(n |V|^2) for n syllables.
     """
-    comps = list(syllables)
-    adjacent = gp.adjacent
+    syllables = tuple(syllables)
+    if len(syllables) < 2:  # nothing to amalgamate or order
+        return syllables
+    indices, blockers = gp.graph.indices, gp.graph.non_neighbours
+    piled: list[ComponentElement] = []
+    stacks: list[list[int]] = [[] for _ in blockers]
+    tops = [-1] * len(blockers)  # position of each vertex's top live syllable
+    for ce in syllables:
+        v = indices[ce.vertex]
+        top = tops[v]
+        if top < 0 or any(tops[u] > top for u in blockers[v]):
+            tops[v] = len(piled)
+            stacks[v].append(len(piled))
+            piled.append(ce)
+            continue
+        payload = comp_mul(piled[top].payload, ce.payload)
+        if _is_identity_payload(payload):
+            stacks[v].pop()
+            tops[v] = stacks[v][-1] if stacks[v] else -1
+        else:
+            piled[top] = ComponentElement(ce.vertex, payload)
 
-    # amalgamation fixpoint
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(comps):
-            v = comps[i].vertex
-            j = i + 1
-            while j < len(comps):
-                if comps[j].vertex == v:
-                    payload = comp_mul(comps[i].payload, comps[j].payload)
-                    del comps[j]
-                    changed = True
-                    if _is_identity_payload(payload):
-                        del comps[i]
-                        break
-                    comps[i] = ComponentElement(v, payload)
-                    continue
-                if not adjacent(comps[j].vertex, v):
-                    break
-                j += 1
-            i += 1
-
-    # greedy least-vertex-first extraction; at most one syllable of each
-    # vertex can be shuffled to the front of a reduced expression
-    vindex = gp.vertex_index
+    end = len(piled)
+    queues = [stack[::-1] for stack in stacks]
+    heads = [queue[-1] if queue else end for queue in queues]
     out: list[ComponentElement] = []
-    while comps:
-        best_pos = None
-        best_key = None
-        for pos, ce in enumerate(comps):
-            if all(adjacent(prev.vertex, ce.vertex) for prev in comps[:pos]):
-                key = vindex(ce.vertex)
-                if best_key is None or key < best_key:
-                    best_key, best_pos = key, pos
-        out.append(comps.pop(best_pos))
+    for _ in range(sum(map(len, queues))):
+        v = next(
+            v for v, h in enumerate(heads)
+            if h < end and all(heads[u] > h for u in blockers[v])
+        )
+        out.append(piled[heads[v]])
+        queues[v].pop()
+        heads[v] = queues[v][-1] if queues[v] else end
     return tuple(out)
 
 
@@ -287,7 +308,7 @@ def multiply(a: GPElement, b: GPElement) -> GPElement:
 
 def split_final(
     gp: GraphProduct, expr: Sequence[ComponentElement], v: str
-) -> tuple[Optional[ComponentElement], tuple[ComponentElement, ...]]:
+) -> tuple[ComponentElement | None, tuple[ComponentElement, ...]]:
     """Final v-component and raw complement of an arbitrary reduced expression.
 
     The component is the rightmost v-entry provided everything after it is
@@ -308,7 +329,7 @@ def split_final(
 
 def split_initial(
     gp: GraphProduct, expr: Sequence[ComponentElement], v: str
-) -> tuple[Optional[ComponentElement], tuple[ComponentElement, ...]]:
+) -> tuple[ComponentElement | None, tuple[ComponentElement, ...]]:
     """Dual of split_final: leftmost v-entry movable to the front."""
     gp.vertex_index(v)
     first = None
@@ -324,7 +345,7 @@ def split_initial(
     return expr[first], tuple(expr[:first]) + tuple(expr[first + 1:])
 
 
-def final_component(a: GPElement, v: str) -> tuple[Optional[ComponentElement], GPElement]:
+def final_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
     """(d, a') with a = a'*d when d is nonidentity, a' = a when d is None."""
     d, rest = split_final(a.gp, a.expr, v)
     if d is None:
@@ -332,7 +353,7 @@ def final_component(a: GPElement, v: str) -> tuple[Optional[ComponentElement], G
     return d, normal_form(a.gp, rest)
 
 
-def initial_component(a: GPElement, v: str) -> tuple[Optional[ComponentElement], GPElement]:
+def initial_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
     """(d, a') with a = d*a' when d is nonidentity, a' = a when d is None."""
     d, rest = split_initial(a.gp, a.expr, v)
     if d is None:
@@ -343,7 +364,7 @@ def initial_component(a: GPElement, v: str) -> tuple[Optional[ComponentElement],
 # ---------------------------------------------------------------------------
 # division, LCLM, HCLF
 
-def right_divide(a: GPElement, c: GPElement) -> Optional[GPElement]:
+def right_divide(a: GPElement, c: GPElement) -> GPElement | None:
     """The unique b with a = b*c, or None when c does not right-divide a."""
     _require_same(a, c)
     cur = a
@@ -358,7 +379,7 @@ def right_divide(a: GPElement, c: GPElement) -> Optional[GPElement]:
     return cur
 
 
-def left_divide(a: GPElement, c: GPElement) -> Optional[GPElement]:
+def left_divide(a: GPElement, c: GPElement) -> GPElement | None:
     """The unique b with a = c*b, or None."""
     _require_same(a, c)
     cur = a
@@ -373,7 +394,7 @@ def left_divide(a: GPElement, c: GPElement) -> Optional[GPElement]:
     return cur
 
 
-def _posneg(c: GPElement, d: GPElement) -> Optional[tuple[GPElement, GPElement]]:
+def _posneg(c: GPElement, d: GPElement) -> tuple[GPElement, GPElement] | None:
     """Full positive/negative reduction: (s, t) with s*c = t*d the least
     common left multiple, or None when there is none.
 
@@ -393,7 +414,7 @@ def _posneg(c: GPElement, d: GPElement) -> Optional[tuple[GPElement, GPElement]]
     t = list(c.expr)
     s: list[ComponentElement] = []  # right to left
     for dce in reversed(d.expr):
-        a: Optional[ComponentElement] = dce
+        a: ComponentElement | None = dce
         b: list[ComponentElement] = []  # right to left
         for ce in reversed(t):
             if a is None or (ce.vertex != a.vertex and gp.adjacent(ce.vertex, a.vertex)):
@@ -416,7 +437,7 @@ def _posneg(c: GPElement, d: GPElement) -> Optional[tuple[GPElement, GPElement]]
     return GPElement(gp, shuffle_reduce(gp, s)), GPElement(gp, shuffle_reduce(gp, t))
 
 
-def lclm(b: GPElement, c: GPElement) -> Optional[tuple[GPElement, GPElement, GPElement]]:
+def lclm(b: GPElement, c: GPElement) -> tuple[GPElement, GPElement, GPElement] | None:
     """Least common left multiple: (s, t, m) with m = s*b = t*c, or None.
 
     None signals that b and c have no common left multiple at all.

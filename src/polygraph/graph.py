@@ -10,8 +10,6 @@ total order every normal form in this package is computed against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -20,27 +18,86 @@ class GraphError(ValueError):
     """Malformed graph description or reference to an undeclared name."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Vertex list plus a set of unordered edges between distinct vertices."""
+class Value:
+    """Immutable value object.
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    A subclass names its fields in ``_fields``; instances compare and hash by
+    type and field values, and refuse assignment after ``__init__``.  Classes
+    built in hot loops write their own ``__init__``, ``__eq__`` and
+    ``__hash__``, because the generic ones below loop over ``_fields``.
+    """
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(Value):
+    """Vertex list plus a set of unordered edges between distinct vertices.
+
+    Adjacency is computed once, when the graph is built: each vertex's
+    declaration index (``indices``), its neighbour set (``neighbours``), and
+    for each vertex index the indices of the other vertices not adjacent to
+    it (``non_neighbours``), whose syllables block a shuffle past it.
+    """
+
+    __slots__ = ("vertices", "edges", "indices", "neighbours", "non_neighbours")
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[frozenset[str]]) -> None:
+        super().__init__(vertices, edges)
+        index = {v: i for i, v in enumerate(vertices)}
+        neighbours: dict[str, set[str]] = {v: set() for v in vertices}
+        for u, v in edges:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        object.__setattr__(self, "indices", index)
+        object.__setattr__(
+            self, "neighbours", {v: frozenset(n) for v, n in neighbours.items()}
+        )
+        object.__setattr__(self, "non_neighbours", tuple(
+            tuple(index[u] for u in vertices if u != v and u not in neighbours[v])
+            for v in vertices
+        ))
 
     def index(self, v: str) -> int:
         try:
-            return self._index[v]
+            return self.indices[v]
         except KeyError:
             raise GraphError(f"undeclared vertex {v!r}") from None
 
     def adjacent(self, u: str, v: str) -> bool:
-        self.index(u)
-        self.index(v)
-        return u != v and frozenset((u, v)) in self.edges
+        neighbours = self.neighbours
+        if u not in neighbours or v not in neighbours:
+            raise GraphError(f"undeclared vertex {v if u in neighbours else u!r}")
+        return v in neighbours[u]
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         """Edges as ordered pairs, sorted by declaration order."""
@@ -52,24 +109,21 @@ class Graph:
         return pairs
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(Value):
     """Per-vertex component kind: ``None`` payload means monogenic, a letter
     tuple means the free monoid on those letters."""
 
-    entries: tuple[tuple[str, tuple[str, ...] | None], ...]
+    __slots__ = ("entries", "_by_vertex", "_letter_vertex")
+    _fields = ("entries",)
 
-    @cached_property
-    def _by_vertex(self) -> dict[str, tuple[str, ...] | None]:
-        return dict(self.entries)
-
-    @cached_property
-    def _letter_vertex(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for v, letters in self.entries:
+    def __init__(self, entries: tuple[tuple[str, tuple[str, ...] | None], ...]) -> None:
+        super().__init__(entries)
+        letter_vertex: dict[str, str] = {}
+        for v, letters in entries:
             for a in (v,) if letters is None else letters:
-                out[a] = v
-        return out
+                letter_vertex[a] = v
+        object.__setattr__(self, "_by_vertex", dict(entries))
+        object.__setattr__(self, "_letter_vertex", letter_vertex)
 
     def is_mono(self, v: str) -> bool:
         try:
@@ -91,16 +145,14 @@ class ComponentSpec:
         return tuple(self._letter_vertex)
 
 
-@dataclass(frozen=True)
-class GraphProduct:
+class GraphProduct(Value):
     """A validated graph together with its component declarations.
 
     This is the ambient context every element in the package refers to;
     instances are immutable and compare by value.
     """
 
-    graph: Graph
-    components: ComponentSpec
+    __slots__ = _fields = ("graph", "components")
 
     @property
     def vertices(self) -> tuple[str, ...]:

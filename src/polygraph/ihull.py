@@ -10,9 +10,8 @@ graph, generalizing the bicyclic and polycyclic monoids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import groupby
-from typing import Iterable, Iterator
 
 from .gproduct import (
     _TOKEN_RE,
@@ -26,7 +25,7 @@ from .gproduct import (
     hclf,
     left_divide,
 )
-from .graph import GraphProduct
+from .graph import GraphProduct, Value
 
 
 class _Zero:
@@ -49,12 +48,24 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class IHPair:
+class IHPair(Value):
     """Nonzero inverse-hull element: inverse translation by a, then by b."""
 
+    __slots__ = _fields = ("a", "b")
     a: GPElement
     b: GPElement
+
+    def __init__(self, a: GPElement, b: GPElement) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __str__(self) -> str:
         return f"[{self.a} | {self.b}]"
@@ -68,10 +79,10 @@ IHElement = IHPair | _Zero
 SignedToken = tuple[str, int]  # (letter, +1 or -1)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A defining relation; ``right`` is a word or the zero symbol."""
 
+    __slots__ = _fields = ("left", "right")
     left: tuple[SignedToken, ...]
     right: tuple[SignedToken, ...] | _Zero
 
@@ -261,8 +272,8 @@ def generate_presentation(gp: GraphProduct) -> tuple[Relation, ...]:
     return tuple(rels)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Value):
+    __slots__ = _fields = ("checked", "violations")
     checked: int
     violations: tuple[Relation, ...]
 

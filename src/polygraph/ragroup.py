@@ -10,22 +10,33 @@ witness that the polygraph monoid is strongly E*-unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .gproduct import ComponentElement, shuffle_reduce
-from .graph import GraphProduct
+from .graph import GraphProduct, Value
 from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, format_pgword, parse_pgword
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Value):
     """Canonical reduced word: lexicographically least among the reduced
     words equivalent under commuting swaps, vertex order first and positive
     before negative."""
 
+    __slots__ = _fields = ("gp", "letters")
     gp: GraphProduct
     letters: tuple[SignedToken, ...]
+
+    def __init__(self, gp: GraphProduct, letters: tuple[SignedToken, ...]) -> None:
+        object.__setattr__(self, "gp", gp)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gp, self.letters) == (other.gp, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.gp, self.letters))
 
     def is_identity(self) -> bool:
         return not self.letters

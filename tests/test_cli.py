@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,19 @@ def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "--max-len", "3", "--max-vertices", "2")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_import_is_lean():
+    # building the parser and running an algebra command needs neither the
+    # property suites and their oracles nor json nor dataclasses
+    code = (
+        "import sys, polygraph.cli\n"
+        "print([m for m in ('dataclasses', 'json', 'polygraph.checks', 'polygraph.oracle')"
+        " if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -19,10 +19,11 @@ from polygraph.gproduct import (
     multiply,
     normal_form,
     right_divide,
+    shuffle_reduce,
     split_final,
 )
 
-from conftest import graph_and_words, mono_graphs, word_element
+from conftest import graph_and_words, graph_products, mono_graphs, word_element
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,44 @@ def test_make_element_errors(p3):
 def test_normal_form_idempotent(p3):
     a = make_element(p3, "x3 x2 x1 x2")
     assert normal_form(p3, a.expr) == a
+
+
+@st.composite
+def graph_and_syllables(draw, signed=False):
+    """A graph with up to 8 vertices and up to 300 syllables.  Signed
+    syllables carry nonzero exponents, as group_reduce (+1/-1) and eta
+    (-k for the first coordinate, k for the second) pass them."""
+    graphs = mono_graphs(1, 8)
+    gp = draw(graphs if signed else st.one_of(graphs, graph_products(max_vertices=8)))
+    n = draw(st.integers(0, 300))
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(gp.vertices), st.integers(1, 3), st.integers(0, 7)),
+        min_size=n, max_size=n,
+    ))
+    syllables = []
+    for v, k, bits in picks:
+        if signed:
+            payload = -k if bits & 1 else k
+        elif gp.is_mono(v):
+            payload = k
+        else:
+            letters = gp.letters(v)
+            payload = tuple(letters[(bits >> j) % len(letters)] for j in range(k))
+        syllables.append(ComponentElement(v, payload))
+    return gp, syllables
+
+
+@given(st.one_of(graph_and_syllables(), graph_and_syllables(signed=True)))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference(gs):
+    gp, syllables = gs
+    assert shuffle_reduce(gp, syllables) == oracle.shuffle_reduce_reference(gp, syllables)
+
+
+def test_make_element_long_word():
+    gp = builtin("k2_edgeless")
+    e = make_element(gp, "x1 x2 " * 20000)
+    assert e.expr == (ComponentElement("x1", 1), ComponentElement("x2", 1)) * 20000
 
 
 @given(graph_and_words(num_words=1, max_letters=5))
@@ -235,7 +274,7 @@ def test_lclm_matches_oracle(gw):
 
 def test_lclm_long_word_without_recursion():
     gp = builtin("k2_edgeless")
-    b = make_element(gp, "x1 x2 " * 300)
+    b = make_element(gp, "x1 x2 " * 2000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
@@ -243,7 +282,7 @@ def test_lclm_long_word_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert s == identity(gp)
-    assert t == make_element(gp, "x1 x2 " * 299 + "x1")
+    assert t == make_element(gp, "x1 x2 " * 1999 + "x1")
     assert m == b
 
 

@@ -113,6 +113,15 @@ def test_word_times_inverse_is_identity(gp, data):
     assert (r * r.inverse()).is_identity()
 
 
+def test_long_word_times_inverse_is_identity():
+    gp = builtin("k2_edgeless")
+    rng = random.Random(5)
+    w = [(rng.choice(("x1", "x2")), rng.choice((1, -1))) for _ in range(2000)]
+    inverse = [(l, -s) for l, s in reversed(w)]
+    assert group_reduce(gp, w + inverse).is_identity()
+    assert len(group_reduce(gp, w).letters) > 100
+
+
 # ---------------------------------------------------------------------------
 # eta
 
