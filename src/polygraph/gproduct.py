@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from .graph import GraphProduct, Value
 
@@ -114,10 +115,6 @@ def _is_identity_payload(p: Payload) -> bool:
     return p == 0 or p == ()
 
 
-def comp_mul(x: Payload, y: Payload) -> Payload:
-    return x + y  # int addition or tuple concatenation
-
-
 def comp_right_divide(x: Payload, y: Payload) -> Payload | None:
     """r with x = r * y inside the component, or None."""
     if isinstance(x, int):
@@ -193,9 +190,11 @@ def shuffle_reduce(
     stack when no live syllable of a non-adjacent vertex lies above it; an
     amalgam with identity payload (only signed group exponents give one) is
     dropped, which never makes two remaining syllables mergeable.  Otherwise
-    the syllable is pushed.  The least-vertex-first form is then read off:
-    repeatedly emit the least vertex whose first remaining syllable precedes
-    those of all its non-adjacent vertices.  O(n |V|^2) for n syllables.
+    the syllable is pushed.  Free letter pieces are joined once, after piling.
+    The least-vertex-first form is then read off: repeatedly emit the least
+    vertex v with ``waiting[v] == 0``, the count of non-adjacent vertices
+    whose first remaining syllable precedes v's; emitting v updates only the
+    counts of v and its non-adjacent vertices.  O(n |V|) for n syllables.
     """
     syllables = tuple(syllables)
     if len(syllables) < 2:  # nothing to amalgamate or order
@@ -204,33 +203,45 @@ def shuffle_reduce(
     piled: list[ComponentElement] = []
     stacks: list[list[int]] = [[] for _ in blockers]
     tops = [-1] * len(blockers)  # position of each vertex's top live syllable
+    pieces: dict[int, list[Payload]] = {}  # free letter pieces per position
     for ce in syllables:
         v = indices[ce.vertex]
         top = tops[v]
-        if top < 0 or any(tops[u] > top for u in blockers[v]):
-            tops[v] = len(piled)
-            stacks[v].append(len(piled))
-            piled.append(ce)
-            continue
-        payload = comp_mul(piled[top].payload, ce.payload)
-        if _is_identity_payload(payload):
-            stacks[v].pop()
-            tops[v] = stacks[v][-1] if stacks[v] else -1
-        else:
-            piled[top] = ComponentElement(ce.vertex, payload)
+        if top >= 0:
+            for u in blockers[v]:
+                if tops[u] > top:
+                    break
+            else:  # nothing of a non-adjacent vertex lies above v's top
+                if not isinstance(ce.payload, int):
+                    pieces.setdefault(top, [piled[top].payload]).append(ce.payload)
+                elif payload := piled[top].payload + ce.payload:
+                    piled[top] = ComponentElement(ce.vertex, payload)
+                else:  # signed exponents cancelled
+                    stacks[v].pop()
+                    tops[v] = stacks[v][-1] if stacks[v] else -1
+                continue
+        tops[v] = len(piled)
+        stacks[v].append(len(piled))
+        piled.append(ce)
+    for pos, run in pieces.items():
+        piled[pos] = ComponentElement(piled[pos].vertex, tuple(chain.from_iterable(run)))
 
-    end = len(piled)
-    queues = [stack[::-1] for stack in stacks]
-    heads = [queue[-1] if queue else end for queue in queues]
+    end, empty = len(piled), len(blockers)
+    queues = [iter(stack) for stack in stacks]
+    heads = [next(queue, end) for queue in queues]
+    waiting = [sum(heads[u] < h for u in blockers[v]) if h < end else empty
+               for v, h in enumerate(heads)]  # |V| once v has none left
     out: list[ComponentElement] = []
-    for _ in range(sum(map(len, queues))):
-        v = next(
-            v for v, h in enumerate(heads)
-            if h < end and all(heads[u] > h for u in blockers[v])
-        )
+    for _ in range(sum(map(len, stacks))):
+        v = waiting.index(0)
         out.append(piled[heads[v]])
-        queues[v].pop()
-        heads[v] = queues[v][-1] if queues[v] else end
+        h = heads[v] = next(queues[v], end)
+        count = 0
+        for u in blockers[v]:
+            if heads[u] < h:  # u's head now precedes v's
+                waiting[u] -= 1
+                count += 1
+        waiting[v] = count if h < end else empty
     return tuple(out)
 
 
@@ -243,10 +254,7 @@ def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
 
 
 def _tokenize(word: str | Iterable) -> list[tuple[str, int]]:
-    if isinstance(word, str):
-        tokens = word.split()
-    else:
-        tokens = list(word)
+    tokens = word.split() if isinstance(word, str) else list(word)
     out = []
     for tok in tokens:
         if isinstance(tok, tuple):
@@ -272,10 +280,7 @@ def make_element(gp: GraphProduct, word: str | Iterable) -> GPElement:
         if k < 1:
             raise ValueError(f"exponent on {letter!r} must be >= 1")
         v = gp.vertex_of_letter(letter)
-        if gp.is_mono(v):
-            raw.append(ComponentElement(v, k))
-        else:
-            raw.append(ComponentElement(v, (letter,) * k))
+        raw.append(ComponentElement(v, k if gp.is_mono(v) else (letter,) * k))
     return normal_form(gp, raw)
 
 

@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .gproduct import (
     ComponentElement,
     GPElement,
+    Payload,
     _is_identity_payload,
-    comp_mul,
     make_element,
     multiply,
     normal_form,
@@ -25,6 +25,10 @@ from .gproduct import (
 from .graph import GraphProduct
 
 DEFAULT_MAX_CLASS = 200_000
+
+
+def comp_mul(x: Payload, y: Payload) -> Payload:
+    return x + y  # int addition or tuple concatenation
 
 
 class BoundExceeded(RuntimeError):

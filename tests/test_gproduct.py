@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygraph import oracle
-from polygraph.builtin import builtin
+from polygraph.builtin import builtin, mono_graph
 from polygraph.gproduct import (
     ComponentElement,
     component_embed,
@@ -64,27 +64,33 @@ def test_normal_form_idempotent(p3):
 
 @st.composite
 def graph_and_syllables(draw, signed=False):
-    """A graph with up to 8 vertices and up to 300 syllables.  Signed
-    syllables carry nonzero exponents, as group_reduce (+1/-1) and eta
-    (-k for the first coordinate, k for the second) pass them."""
-    graphs = mono_graphs(1, 8)
-    gp = draw(graphs if signed else st.one_of(graphs, graph_products(max_vertices=8)))
+    """A graph with up to 12 vertices and up to 300 syllables, drawn in runs
+    of 1 to 6 syllables of one vertex, so that free vertices get long runs of
+    pieces to join.  Signed syllables carry nonzero exponents, as
+    group_reduce (+1/-1) and eta (-k for the first coordinate, k for the
+    second) pass them; a run's signs vary, so stacks empty mid-pile."""
+    graphs = mono_graphs(1, 12)
+    gp = draw(graphs if signed else st.one_of(graphs, graph_products(max_vertices=12)))
     n = draw(st.integers(0, 300))
     picks = draw(st.lists(
-        st.tuples(st.sampled_from(gp.vertices), st.integers(1, 3), st.integers(0, 7)),
-        min_size=n, max_size=n,
+        st.tuples(
+            st.sampled_from(gp.vertices), st.integers(1, 6), st.integers(1, 3),
+            st.integers(0, 255),
+        ),
+        min_size=n // 3, max_size=n // 3 + 1,
     ))
     syllables = []
-    for v, k, bits in picks:
-        if signed:
-            payload = -k if bits & 1 else k
-        elif gp.is_mono(v):
-            payload = k
-        else:
-            letters = gp.letters(v)
-            payload = tuple(letters[(bits >> j) % len(letters)] for j in range(k))
-        syllables.append(ComponentElement(v, payload))
-    return gp, syllables
+    for v, run, k, bits in picks:
+        for i in range(run):
+            if signed:
+                payload = -k if bits >> i & 1 else k
+            elif gp.is_mono(v):
+                payload = k
+            else:
+                letters = gp.letters(v)
+                payload = tuple(letters[(bits >> (i + j)) % len(letters)] for j in range(k))
+            syllables.append(ComponentElement(v, payload))
+    return gp, syllables[:n]
 
 
 @given(st.one_of(graph_and_syllables(), graph_and_syllables(signed=True)))
@@ -94,10 +100,56 @@ def test_kernel_matches_reference(gs):
     assert shuffle_reduce(gp, syllables) == oracle.shuffle_reduce_reference(gp, syllables)
 
 
+def _syllables(text):
+    """``"x1:2 u:pq"`` as syllables: an int exponent, or free letters."""
+    out = []
+    for tok in text.split():
+        v, payload = tok.split(":")
+        free = not payload.lstrip("-").isdigit()
+        out.append(ComponentElement(v, tuple(payload) if free else int(payload)))
+    return out
+
+
+@pytest.mark.parametrize("graph, syllables, expected", [
+    # one vertex: everything amalgamates, or cancels to the identity
+    (("single",), "x:1 x:2 x:3", "x:6"),
+    (("single",), "x:2 x:-1 x:-1", ""),
+    # edgeless: only neighbours in the list amalgamate, nothing moves
+    (("k2_edgeless",), "x2:1 x1:1 x1:2 x2:1 x1:1", "x2:1 x1:3 x2:1 x1:1"),
+    ((3, []), "x3:1 x2:1 x1:1 x3:2", "x3:1 x2:1 x1:1 x3:2"),
+    # complete: sorted by vertex, one syllable each
+    (("k3",), "x3:1 x2:1 x1:1 x3:1 x1:2 x2:5", "x1:3 x2:6 x3:2"),
+    ((4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+     "x4:1 x2:1 x4:1 x1:1", "x1:1 x2:1 x4:2"),
+    # x2 commutes with both and goes first; x3's stack empties at the
+    # read-off while x1 still waits for it
+    (("p3",), "x3:1 x1:1 x3:1 x2:1 x1:1", "x2:1 x3:1 x1:1 x3:1 x1:1"),
+    ((3, []), "x2:1 x1:1 x3:1 x1:1", "x2:1 x1:1 x3:1 x1:1"),
+    # signed cancellations empty x2's stack, then x1's, in mid-pile
+    ((3, []), "x1:1 x2:1 x2:-1 x1:-1 x3:1", "x3:1"),
+    # x2 is pushed again after its stack emptied, and blocks x1
+    ((3, []), "x1:1 x2:1 x2:-1 x2:1 x1:-1", "x1:1 x2:1 x1:-1"),
+    # free pieces joined in order across a commuting vertex
+    (("mixed",), "u:p w:1 u:q w:1 u:pp", "u:pqpp w:2"),
+    (("mixed",), "w:1 u:q w:2", "u:q w:3"),
+])
+def test_kernel_cases(graph, syllables, expected):
+    gp = builtin(*graph) if isinstance(graph[0], str) else mono_graph(*graph)
+    syllables = _syllables(syllables)
+    got = shuffle_reduce(gp, syllables)
+    assert got == tuple(_syllables(expected))
+    assert got == oracle.shuffle_reduce_reference(gp, syllables)
+
+
 def test_make_element_long_word():
     gp = builtin("k2_edgeless")
     e = make_element(gp, "x1 x2 " * 20000)
     assert e.expr == (ComponentElement("x1", 1), ComponentElement("x2", 1)) * 20000
+
+
+def test_make_element_long_free_run(mixed):
+    e = make_element(mixed, "p " * 20000)
+    assert e.expr == (ComponentElement("u", ("p",) * 20000),)
 
 
 @given(graph_and_words(num_words=1, max_letters=5))
