@@ -23,7 +23,7 @@ from polygraph.ihull import (
 
 def tour(name: str, rng: random.Random) -> None:
     gp = builtin(name)
-    letters = gp.components.all_letters()
+    letters = gp.all_letters()
     print(f"== {name} (vertices: {' '.join(gp.vertices)}) ==")
 
     words = [

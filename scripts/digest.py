@@ -51,15 +51,18 @@ ROUNDS = 25  # rounds of random words per graph
 
 
 def random_graph(rng: random.Random, mixed: bool):
-    """Graph text with 2-8 vertices at a random edge density; in a mixed
-    graph about a third of the vertices carry a free monoid on 1-3 letters."""
+    """A graph with 2-8 vertices at a random edge density, and its letters in
+    declaration order; in a mixed graph about a third of the vertices carry a
+    free monoid on 1-3 letters."""
     n = rng.randint(2, 8)
-    lines = []
+    lines, letters = [], []
     for i in range(1, n + 1):
         if mixed and rng.random() < 0.35:
-            letters = " ".join(f"{c}{i}" for c in "pqr"[: rng.randint(1, 3)])
-            lines.append(f"vertex u{i} free {letters}")
+            free = [f"{c}{i}" for c in "pqr"[: rng.randint(1, 3)]]
+            letters += free
+            lines.append(f"vertex u{i} free {' '.join(free)}")
         else:
+            letters.append(f"x{i}")
             lines.append(f"vertex x{i} mono")
     names = [line.split()[1] for line in lines]
     density = rng.random()
@@ -67,7 +70,7 @@ def random_graph(rng: random.Random, mixed: bool):
         for j in range(i + 1, n):
             if rng.random() < density:
                 lines.append(f"edge {names[i]} {names[j]}")
-    return parse_graph("\n".join(lines) + "\n")
+    return parse_graph("\n".join(lines) + "\n"), letters
 
 
 def render(x) -> str:
@@ -93,8 +96,7 @@ def cases(seed: int, num_graphs: int):
     """Yield one line per case: the operation's name and its rendered result."""
     rng = random.Random(seed)
     for g in range(num_graphs):
-        gp = random_graph(rng, mixed=g % 2 == 1)
-        letters = gp.components.all_letters()
+        gp, letters = random_graph(rng, mixed=g % 2 == 1)
         mono = gp.all_mono()
         max_len = rng.choice((14, 30))
 

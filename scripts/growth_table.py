@@ -31,7 +31,7 @@ def main() -> None:
         have = sum(
             1 for b, c in itertools.product(elems, repeat=2) if lclm(b, c)
         )
-        edges = sorted(tuple(sorted(e)) for e in gp.graph.edges)
+        edges = sorted(tuple(sorted(e)) for e in gp.edges)
         label = ",".join(f"{u}-{v}" for u, v in edges) or "(none)"
         frac = have / (len(elems) ** 2)
         print(f"{label:>18} {len(elems):>9} {frac:>10.1%}")

@@ -8,24 +8,22 @@ is deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
 
 from . import gproduct, ihull, oracle, ragroup
 from .builtin import BUILTIN_GRAPH_TEXTS, DEFAULT_SEED, builtin, all_mono_graphs
 from .gproduct import GPElement, make_element, multiply, right_divide
-from .graph import GraphProduct
+from .graph import GraphProduct, Value
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value):
+    __slots__ = _fields = ("name", "passed", "detail")
     name: str
     passed: bool
     detail: str
 
 
 def random_element(gp: GraphProduct, rng: random.Random, max_len: int) -> GPElement:
-    letters = gp.components.all_letters()
+    letters = gp.all_letters()
     n = rng.randrange(max_len + 1)
     return make_element(gp, [(rng.choice(letters), 1) for _ in range(n)])
 
@@ -42,7 +40,7 @@ def check_normal_form(seed: int, max_len: int, max_vertices: int) -> CheckResult
     tried = 0
     for name in ("single", "k2_edgeless", "p3", "k3", "mixed"):
         gp = builtin(name)
-        letters = gp.components.all_letters()
+        letters = gp.all_letters()
         words = [()]
         for _ in range(min(max_len, 4)):
             words = [w + (l,) for w in words for l in letters] + words
@@ -149,7 +147,7 @@ def check_eta(seed: int, max_len: int, max_vertices: int) -> CheckResult:
     return CheckResult("eta", True, f"{len(pairs)} elements, 400 products")
 
 
-ALL_CHECKS: tuple[Callable[[int, int, int], CheckResult], ...] = (
+ALL_CHECKS = (
     check_normal_form,
     check_cancellation,
     check_lclm,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, groupby, repeat
 
 from .graph import GraphProduct, Value
 
@@ -47,19 +47,37 @@ class ComponentElement(Value):
         return hash((self.vertex, self.payload))
 
     def __str__(self) -> str:
-        if isinstance(self.payload, int):
-            return self.vertex if self.payload == 1 else f"{self.vertex}^{self.payload}"
-        return " ".join(_collapse_letters(self.payload))
+        p = self.payload
+        return _write_runs([(self.vertex, p)] if isinstance(p, int) else zip(p, repeat(1)))
 
 
-def _collapse_letters(letters: Sequence[str]) -> Iterator[str]:
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        yield letters[i] if j - i == 1 else f"{letters[i]}^{j - i}"
-        i = j
+def _read_tokens(word: str | Iterable, signed: bool = False) -> Iterator[tuple[str, int]]:
+    """(letter, exponent) of each ``a`` / ``a^k`` token of a word, skipping
+    ``"1"``; (letter, k) pairs in an iterable pass through.  A signed word's
+    exponent must not be zero; a monoid word's is checked by its caller."""
+    for tok in word.split() if isinstance(word, str) else word:
+        if isinstance(tok, tuple):
+            yield tok
+            continue
+        if tok == "1":
+            continue
+        m = _TOKEN_RE.match(tok)
+        if not m:
+            raise ValueError(f"bad {'signed token' if signed else 'token'} {tok!r}")
+        letter, k = m.group(1), int(m.group(2)) if m.group(2) else 1
+        if signed and k == 0:
+            raise ValueError(f"zero exponent on {letter!r}")
+        yield letter, k
+
+
+def _write_runs(tokens: Iterable[tuple[str, int]]) -> str:
+    """Text of (letter, exponent) tokens, each run of equal tokens written
+    once as ``a`` or ``a^k``."""
+    parts = []
+    for (letter, exp), run in groupby(tokens):
+        k = exp * sum(1 for _ in run)
+        parts.append(letter if k == 1 else f"{letter}^{k}")
+    return " ".join(parts)
 
 
 class GPElement(Value):
@@ -167,16 +185,15 @@ def comp_hclf(x: Payload, y: Payload) -> Payload:
 
 def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
     v = ce.vertex
-    gp.vertex_index(v)
-    if gp.is_mono(v):
+    if gp.is_mono(v):  # GraphError on an undeclared vertex
         if not isinstance(ce.payload, int) or ce.payload < 1:
             raise ValueError(f"monogenic payload for {v!r} must be a positive int")
     else:
         if not isinstance(ce.payload, tuple) or not ce.payload:
             raise ValueError(f"free payload for {v!r} must be a nonempty letter tuple")
-        alphabet = set(gp.letters(v))
+        letter_vertex = gp.letter_vertex
         for a in ce.payload:
-            if a not in alphabet:
+            if letter_vertex.get(a) != v:
                 raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
 
 
@@ -199,7 +216,7 @@ def shuffle_reduce(
     syllables = tuple(syllables)
     if len(syllables) < 2:  # nothing to amalgamate or order
         return syllables
-    indices, blockers = gp.graph.indices, gp.graph.non_neighbours
+    indices, blockers = gp.indices, gp.non_neighbours
     piled: list[ComponentElement] = []
     stacks: list[list[int]] = [[] for _ in blockers]
     tops = [-1] * len(blockers)  # position of each vertex's top live syllable
@@ -253,30 +270,15 @@ def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
     return GPElement(gp, shuffle_reduce(gp, comps))
 
 
-def _tokenize(word: str | Iterable) -> list[tuple[str, int]]:
-    tokens = word.split() if isinstance(word, str) else list(word)
-    out = []
-    for tok in tokens:
-        if isinstance(tok, tuple):
-            out.append(tok)
-            continue
-        if tok == "1":
-            continue
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad token {tok!r}")
-        out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
-    return out
-
-
 def make_element(gp: GraphProduct, word: str | Iterable) -> GPElement:
     """Canonical image of a word over the declared letters.
 
     ``word`` is whitespace-separated letter tokens with optional ``^k``
-    exponents (k >= 1); ``"1"`` denotes the identity.
+    exponents (k >= 1), or an iterable of such tokens and (letter, k) pairs;
+    ``"1"`` denotes the identity.
     """
     raw: list[ComponentElement] = []
-    for letter, k in _tokenize(word):
+    for letter, k in list(_read_tokens(word)):  # syntax errors before any other
         if k < 1:
             raise ValueError(f"exponent on {letter!r} must be >= 1")
         v = gp.vertex_of_letter(letter)

@@ -1,10 +1,10 @@
-"""Independence graphs and per-vertex component declarations.
+"""The graph product value: a graph with a component monoid at each vertex.
 
-A graph here is a finite vertex set with an irreflexive, symmetric edge
-relation.  Each vertex carries a component declaration: either a single
-generator (monogenic, token equal to the vertex name) or a free monoid on an
-explicit letter alphabet.  Declaration order of vertices and letters is the
-total order every normal form in this package is computed against.
+A ``GraphProduct`` is a finite vertex set with an irreflexive, symmetric edge
+relation, and at each vertex a component: either a single generator
+(monogenic, token equal to the vertex name) or a free monoid on an explicit
+letter alphabet.  Declaration order of vertices and letters is the total
+order every normal form in this package is computed against.
 """
 
 from __future__ import annotations
@@ -59,35 +59,53 @@ class Value:
         return self.__class__, self._values()
 
 
-class Graph(Value):
-    """Vertex list plus a set of unordered edges between distinct vertices.
+class GraphProduct(Value):
+    """A graph with a component monoid at each vertex.
 
-    Adjacency is computed once, when the graph is built: each vertex's
-    declaration index (``indices``), its neighbour set (``neighbours``), and
-    for each vertex index the indices of the other vertices not adjacent to
-    it (``non_neighbours``), whose syllables block a shuffle past it.
+    ``entries`` lists the vertices in declaration order, each with ``None``
+    for a monogenic component or the letter tuple of a free one; ``edges`` is
+    a set of unordered pairs of distinct vertices.  Everything derived is
+    computed once, here: the vertex tuple, each vertex's declaration index
+    (``indices``), its neighbour set (``neighbours``), for each vertex index
+    the indices of the other vertices not adjacent to it (``non_neighbours``),
+    whose syllables block a shuffle past it, each vertex's alphabet
+    (``alphabets``) and the vertex of each letter (``letter_vertex``).
     """
 
-    __slots__ = ("vertices", "edges", "indices", "neighbours", "non_neighbours")
-    _fields = ("vertices", "edges")
+    __slots__ = (
+        "entries", "edges", "vertices", "indices", "neighbours", "non_neighbours",
+        "alphabets", "letter_vertex", "_kinds",
+    )
+    _fields = ("entries", "edges")
 
-    def __init__(self, vertices: tuple[str, ...], edges: frozenset[frozenset[str]]) -> None:
-        super().__init__(vertices, edges)
+    def __init__(
+        self,
+        entries: tuple[tuple[str, tuple[str, ...] | None], ...],
+        edges: frozenset[frozenset[str]],
+    ) -> None:
+        super().__init__(entries, edges)
+        vertices = tuple(v for v, _ in entries)
         index = {v: i for i, v in enumerate(vertices)}
         neighbours: dict[str, set[str]] = {v: set() for v in vertices}
         for u, v in edges:
             neighbours[u].add(v)
             neighbours[v].add(u)
-        object.__setattr__(self, "indices", index)
-        object.__setattr__(
-            self, "neighbours", {v: frozenset(n) for v, n in neighbours.items()}
-        )
-        object.__setattr__(self, "non_neighbours", tuple(
-            tuple(index[u] for u in vertices if u != v and u not in neighbours[v])
-            for v in vertices
-        ))
+        alphabets = {v: (v,) if letters is None else letters for v, letters in entries}
+        for name, value in (
+            ("vertices", vertices),
+            ("indices", index),
+            ("neighbours", {v: frozenset(n) for v, n in neighbours.items()}),
+            ("non_neighbours", tuple(
+                tuple(index[u] for u in vertices if u != v and u not in neighbours[v])
+                for v in vertices
+            )),
+            ("alphabets", alphabets),
+            ("letter_vertex", {a: v for v, letters in alphabets.items() for a in letters}),
+            ("_kinds", dict(entries)),
+        ):
+            object.__setattr__(self, name, value)
 
-    def index(self, v: str) -> int:
+    def vertex_index(self, v: str) -> int:
         try:
             return self.indices[v]
         except KeyError:
@@ -99,82 +117,29 @@ class Graph(Value):
             raise GraphError(f"undeclared vertex {v if u in neighbours else u!r}")
         return v in neighbours[u]
 
-    def edge_pairs(self) -> list[tuple[str, str]]:
-        """Edges as ordered pairs, sorted by declaration order."""
-        pairs = []
-        for e in self.edges:
-            u, v = sorted(e, key=self.index)
-            pairs.append((u, v))
-        pairs.sort(key=lambda p: (self.index(p[0]), self.index(p[1])))
-        return pairs
-
-
-class ComponentSpec(Value):
-    """Per-vertex component kind: ``None`` payload means monogenic, a letter
-    tuple means the free monoid on those letters."""
-
-    __slots__ = ("entries", "_by_vertex", "_letter_vertex")
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[str, tuple[str, ...] | None], ...]) -> None:
-        super().__init__(entries)
-        letter_vertex: dict[str, str] = {}
-        for v, letters in entries:
-            for a in (v,) if letters is None else letters:
-                letter_vertex[a] = v
-        object.__setattr__(self, "_by_vertex", dict(entries))
-        object.__setattr__(self, "_letter_vertex", letter_vertex)
-
     def is_mono(self, v: str) -> bool:
         try:
-            return self._by_vertex[v] is None
+            return self._kinds[v] is None
         except KeyError:
             raise GraphError(f"undeclared vertex {v!r}") from None
 
     def letters(self, v: str) -> tuple[str, ...]:
-        spec = self._by_vertex[v]
-        return (v,) if spec is None else spec
-
-    def vertex_of(self, letter: str) -> str:
         try:
-            return self._letter_vertex[letter]
+            return self.alphabets[v]
+        except KeyError:
+            raise GraphError(f"undeclared vertex {v!r}") from None
+
+    def vertex_of_letter(self, letter: str) -> str:
+        try:
+            return self.letter_vertex[letter]
         except KeyError:
             raise GraphError(f"unknown letter {letter!r}") from None
 
     def all_letters(self) -> tuple[str, ...]:
-        return tuple(self._letter_vertex)
-
-
-class GraphProduct(Value):
-    """A validated graph together with its component declarations.
-
-    This is the ambient context every element in the package refers to;
-    instances are immutable and compare by value.
-    """
-
-    __slots__ = _fields = ("graph", "components")
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.vertices
-
-    def adjacent(self, u: str, v: str) -> bool:
-        return self.graph.adjacent(u, v)
-
-    def vertex_index(self, v: str) -> int:
-        return self.graph.index(v)
-
-    def is_mono(self, v: str) -> bool:
-        return self.components.is_mono(v)
-
-    def letters(self, v: str) -> tuple[str, ...]:
-        return self.components.letters(v)
-
-    def vertex_of_letter(self, letter: str) -> str:
-        return self.components.vertex_of(letter)
+        return tuple(self.letter_vertex)
 
     def all_mono(self) -> bool:
-        return all(self.components.is_mono(v) for v in self.vertices)
+        return all(kind is None for kind in self._kinds.values())
 
 
 def _check_name(name: str, what: str) -> None:
@@ -241,8 +206,7 @@ def parse_graph(text: str) -> GraphProduct:
             raise GraphError(f"line {lineno}: self-loop at {u!r}")
         edges.add(frozenset((u, v)))
 
-    vertices = tuple(v for v, _ in entries)
-    return GraphProduct(Graph(vertices, frozenset(edges)), ComponentSpec(tuple(entries)))
+    return GraphProduct(tuple(entries), frozenset(edges))
 
 
 def format_graph(gp: GraphProduct) -> str:
@@ -253,6 +217,6 @@ def format_graph(gp: GraphProduct) -> str:
             lines.append(f"vertex {v} mono")
         else:
             lines.append(f"vertex {v} free " + " ".join(gp.letters(v)))
-    for u, v in gp.graph.edge_pairs():
-        lines.append(f"edge {u} {v}")
+    for i, j in sorted(sorted(map(gp.vertex_index, e)) for e in gp.edges):
+        lines.append(f"edge {gp.vertices[i]} {gp.vertices[j]}")
     return "\n".join(lines) + "\n"

@@ -14,9 +14,9 @@ from collections.abc import Iterable, Iterator
 from itertools import groupby
 
 from .gproduct import (
-    _TOKEN_RE,
+    _read_tokens,
+    _write_runs,
     GPElement,
-    component_embed,
     identity,
     lclm,
     make_element,
@@ -155,21 +155,6 @@ def green_H(s: IHElement, t: IHElement) -> bool:
 # ---------------------------------------------------------------------------
 # signed words
 
-def _exponent_tokens(text: str) -> Iterator[tuple[str, int]]:
-    """(letter, signed exponent) of each token of the signed-word syntax;
-    a run ``x^k`` stays one pair."""
-    for tok in text.split():
-        if tok == "1":
-            continue
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad signed token {tok!r}")
-        letter, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
-        if exp == 0:
-            raise ValueError(f"zero exponent on {letter!r}")
-        yield letter, exp
-
-
 def _checked_sign(token: SignedToken) -> SignedToken:
     letter, sign = token
     if sign not in (1, -1):
@@ -183,7 +168,7 @@ def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
     if not isinstance(text, str):
         return tuple(map(_checked_sign, text))
     out: list[SignedToken] = []
-    for letter, exp in _exponent_tokens(text):
+    for letter, exp in _read_tokens(text, signed=True):
         out.extend([(letter, 1 if exp > 0 else -1)] * abs(exp))
     return tuple(out)
 
@@ -191,25 +176,13 @@ def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
 def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
     if word is ZERO:
         return "0"
-    if not word:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        letter, sign = word[i]
-        n = (j - i) * sign
-        parts.append(letter if n == 1 else f"{letter}^{n}")
-        i = j
-    return " ".join(parts)
+    return _write_runs(word) or "1"
 
 
 def _runs(word: str | Iterable[SignedToken]) -> Iterator[tuple[str, int]]:
     """Maximal runs of a signed word as (letter, signed exponent);
     neighbouring tokens of the same signed letter merge."""
-    pairs = _exponent_tokens(word) if isinstance(word, str) else parse_pgword(word)
+    pairs = _read_tokens(word, signed=True) if isinstance(word, str) else parse_pgword(word)
     for (letter, _), run in groupby(pairs, key=lambda p: (p[0], p[1] > 0)):
         yield letter, sum(exp for _, exp in run)
 

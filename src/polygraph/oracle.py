@@ -18,7 +18,6 @@ from .gproduct import (
     _is_identity_payload,
     make_element,
     multiply,
-    normal_form,
     right_divide,
     left_divide,
 )
@@ -198,7 +197,7 @@ def elements_up_to(gp: GraphProduct, max_letters: int) -> list[GPElement]:
     seen: dict[tuple, GPElement] = {}
     order: list[GPElement] = []
     for n in range(max_letters + 1):
-        for w in _words_of_length(gp.components.all_letters(), n):
+        for w in _words_of_length(gp.all_letters(), n):
             e = make_element(gp, [(l, 1) for l in w])
             if e.expr not in seen:
                 seen[e.expr] = e

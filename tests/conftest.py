@@ -55,7 +55,7 @@ def graph_products(draw, max_vertices=4):
 @st.composite
 def graph_and_words(draw, num_words=1, max_letters=5, graphs=None):
     gp = draw(graphs if graphs is not None else graph_products())
-    letters = gp.components.all_letters()
+    letters = gp.all_letters()
     words = tuple(
         tuple(draw(st.sampled_from(letters)) for _ in range(draw(st.integers(0, max_letters))))
         for _ in range(num_words)

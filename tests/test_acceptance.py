@@ -116,7 +116,7 @@ def test_criterion_2_right_cancellation():
     ok = True
     for _ in range(10_000):
         gp = rng.choice(graphs)
-        letters = gp.components.all_letters()
+        letters = gp.all_letters()
         a = make_element(gp, [(rng.choice(letters), 1) for _ in range(rng.randint(0, 5))])
         c = make_element(gp, [(rng.choice(letters), 1) for _ in range(rng.randint(0, 5))])
         if right_divide(multiply(a, c), c) != a:
@@ -219,7 +219,7 @@ def test_criterion_6_polycyclic():
     ok = True
     for n in (2, 3):
         gp = mono_graph(n, [])
-        letters = gp.components.all_letters()
+        letters = gp.all_letters()
         for x in letters:
             if eval_word(gp, f"{x} {x}^-1") != IHPair(identity(gp), identity(gp)):
                 ok = False

@@ -117,6 +117,19 @@ def test_parse_error_exit_2(capsys, p3_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("nf", "x1^^2"), "bad token 'x1^^2'"),
+        (("eval", "x1^0"), "zero exponent on 'x1'"),
+        (("nf", "x1^-2"), "exponent on 'x1' must be >= 1"),
+    ],
+)
+def test_token_errors_exit_2(capsys, p3_file, argv, message):
+    code, out, err = run(capsys, "-g", p3_file, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_graph_exit_2(capsys):
     code, _, err = run(capsys, "nf", "x1")
     assert code == 2

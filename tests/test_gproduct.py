@@ -57,6 +57,10 @@ def test_make_element_errors(p3):
         make_element(p3, "x1^0")
 
 
+def test_make_element_mixes_tokens_and_pairs(p3):
+    assert str(make_element(p3, ["x2", ("x1", 2), "x1^3", "1"])) == "x1^5 x2"
+
+
 def test_normal_form_idempotent(p3):
     a = make_element(p3, "x3 x2 x1 x2")
     assert normal_form(p3, a.expr) == a

@@ -9,7 +9,7 @@ from conftest import graph_products
 def test_parse_basic():
     gp = parse_graph("vertex u mono\nvertex w mono\nedge u w\n")
     assert gp.vertices == ("u", "w")
-    assert gp.graph.edges == frozenset({frozenset({"u", "w"})})
+    assert gp.edges == frozenset({frozenset({"u", "w"})})
 
 
 def test_parse_free_component():
@@ -54,6 +54,21 @@ def test_adjacency_examples(p3):
 def test_adjacency_undeclared(p3):
     with pytest.raises(GraphError):
         p3.adjacent("x1", "nope")
+
+
+@pytest.mark.parametrize(
+    "lookup, args",
+    [
+        ("vertex_index", ("nope",)),
+        ("adjacent", ("nope", "x1")),
+        ("is_mono", ("nope",)),
+        ("letters", ("nope",)),
+        ("vertex_of_letter", ("nope",)),
+    ],
+)
+def test_lookup_of_undeclared_name(p3, lookup, args):
+    with pytest.raises(GraphError, match="'nope'"):
+        getattr(p3, lookup)(*args)
 
 
 @given(graph_products())

@@ -220,7 +220,7 @@ def eval_by_letters(gp, tokens):
 @st.composite
 def graph_and_runs(draw):
     gp = draw(st.sampled_from(BUILTIN_NAMES).map(builtin) | graph_products())
-    letters = gp.components.all_letters()
+    letters = gp.all_letters()
     runs = draw(st.lists(
         st.tuples(st.sampled_from(letters), st.sampled_from([1, -1]), st.integers(1, 20)),
         max_size=5,

@@ -4,13 +4,14 @@ import pickle
 import pytest
 
 from polygraph.builtin import builtin
+from polygraph.checks import CheckResult
 from polygraph.gproduct import ComponentElement, make_element
 from polygraph.ihull import IHPair, Relation, RelationReport, check_relations, generate_presentation
 from polygraph.ragroup import GroupWord, group_reduce
 
 NAMES = (
-    "Graph", "ComponentSpec", "GraphProduct", "ComponentElement", "GPElement",
-    "IHPair", "Relation", "RelationReport", "GroupWord",
+    "GraphProduct", "ComponentElement", "GPElement",
+    "IHPair", "Relation", "RelationReport", "GroupWord", "CheckResult",
 )
 
 
@@ -19,9 +20,9 @@ def one_of_each():
     gp = builtin("p3")
     a = make_element(gp, "x2 x1")
     return dict(zip(NAMES, (
-        gp.graph, gp.components, gp, a.expr[0], a, IHPair(a, a),
+        gp, a.expr[0], a, IHPair(a, a),
         generate_presentation(gp)[0], check_relations(builtin("single")),
-        group_reduce(gp, "x1 x2^-1"),
+        group_reduce(gp, "x1 x2^-1"), CheckResult("lclm", True, "12 comparisons"),
     )))
 
 
@@ -61,5 +62,4 @@ def test_different_classes_with_equal_fields_are_unequal():
 def test_repr():
     assert repr(ComponentElement("x1", 5)) == "ComponentElement(vertex='x1', payload=5)"
     gp = builtin("single")
-    assert repr(gp.components) == "ComponentSpec(entries=(('x', None),))"
-    assert repr(gp.graph) == "Graph(vertices=('x',), edges=frozenset())"
+    assert repr(gp) == "GraphProduct(entries=(('x', None),), edges=frozenset())"
