@@ -29,10 +29,7 @@ def random_element(gp: GraphProduct, rng: random.Random, max_len: int) -> GPElem
 
 
 def _mono_graphs(max_vertices: int) -> list[GraphProduct]:
-    out = []
-    for n in range(1, max_vertices + 1):
-        out.extend(all_mono_graphs(n))
-    return out
+    return [gp for n in range(1, max_vertices + 1) for gp in all_mono_graphs(n)]
 
 
 def check_normal_form(seed: int, max_len: int, max_vertices: int) -> CheckResult:

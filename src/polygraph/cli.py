@@ -168,6 +168,10 @@ def _run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check":  # the bounds are range-checked before any suite runs
+        for option, least in (("max_len", 0), ("max_vertices", 1)):
+            if getattr(args, option) < least:
+                parser.error(f"argument --{option.replace('_', '-')}: must be at least {least}")
     try:
         return _run(args)
     except (GraphError, ValueError, OSError, RecursionError) as exc:

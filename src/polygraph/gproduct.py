@@ -17,7 +17,7 @@ signed exponents that can cancel.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import chain, groupby, repeat
 
 from .graph import GraphProduct, Value
@@ -53,10 +53,12 @@ class ComponentElement(Value):
 
 def _read_tokens(word: str | Iterable, signed: bool = False) -> Iterator[tuple[str, int]]:
     """(letter, exponent) of each ``a`` / ``a^k`` token of a word, skipping
-    ``"1"``; (letter, k) pairs in an iterable pass through.  A signed word's
-    exponent must not be zero; a monoid word's is checked by its caller."""
+    ``"1"``; (letter, k) pairs in an iterable pass through if k is an int.
+    A signed word's exponent must not be zero; callers check a monoid word's."""
     for tok in word.split() if isinstance(word, str) else word:
         if isinstance(tok, tuple):
+            if not isinstance(tok[1], int) or isinstance(tok[1], bool):
+                raise ValueError(f"exponent on {tok[0]!r} must be an int, not {tok[1]!r}")
             yield tok
             continue
         if tok == "1":
@@ -197,6 +199,39 @@ def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
                 raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
 
 
+def _front(gp: GraphProduct, piled: list, stacks: list[list[int]]) -> Generator:
+    """Read-off coroutine of piled syllables and per-vertex stacks of live
+    positions.  Priming returns (piled, heads, waiting): v's head is its first
+    live position (``end`` once none is left), and ``waiting[v]`` counts the
+    non-adjacent vertices whose head precedes it (|V| once v has none left).
+    ``send(v)`` drops and returns the head of a v with ``waiting[v] == 0``,
+    an initial component, updating only v's and its non-adjacent vertices'
+    counts; ``next`` drops the least such v's, so the rest reads off in
+    least-vertex-first order.  Collect it with ``tuple(list(...))``: a tuple
+    grown from an iterator is resized and unbalances CPython's free lists."""
+    blockers, queues = gp.non_neighbours, [iter(stack) for stack in stacks]
+    end, empty = len(piled), len(stacks)
+    heads = [next(queue, end) for queue in queues]
+    waiting = [len([u for u in blockers[v] if heads[u] < h]) if h < end else empty
+               for v, h in enumerate(heads)]
+    v = yield piled, heads, waiting
+    while True:
+        if v is None:
+            try:
+                v = waiting.index(0)
+            except ValueError:  # no vertex is available: nothing remains
+                return
+        ce = piled[heads[v]]
+        h = heads[v] = next(queues[v], end)
+        count = 0
+        for u in blockers[v]:
+            if heads[u] < h:  # u's head now precedes v's
+                waiting[u] -= 1
+                count += 1
+        waiting[v] = count if h < end else empty
+        v = yield ce
+
+
 def shuffle_reduce(
     gp: GraphProduct, syllables: Iterable[ComponentElement]
 ) -> tuple[ComponentElement, ...]:
@@ -208,10 +243,7 @@ def shuffle_reduce(
     amalgam with identity payload (only signed group exponents give one) is
     dropped, which never makes two remaining syllables mergeable.  Otherwise
     the syllable is pushed.  Free letter pieces are joined once, after piling.
-    The least-vertex-first form is then read off: repeatedly emit the least
-    vertex v with ``waiting[v] == 0``, the count of non-adjacent vertices
-    whose first remaining syllable precedes v's; emitting v updates only the
-    counts of v and its non-adjacent vertices.  O(n |V|) for n syllables.
+    ``_front`` then reads off the least-vertex-first form.  O(n |V|) in all.
     """
     syllables = tuple(syllables)
     if len(syllables) < 2:  # nothing to amalgamate or order
@@ -237,29 +269,14 @@ def shuffle_reduce(
                     stacks[v].pop()
                     tops[v] = stacks[v][-1] if stacks[v] else -1
                 continue
-        tops[v] = len(piled)
-        stacks[v].append(len(piled))
+        tops[v] = top = len(piled)
+        stacks[v].append(top)
         piled.append(ce)
     for pos, run in pieces.items():
         piled[pos] = ComponentElement(piled[pos].vertex, tuple(chain.from_iterable(run)))
-
-    end, empty = len(piled), len(blockers)
-    queues = [iter(stack) for stack in stacks]
-    heads = [next(queue, end) for queue in queues]
-    waiting = [sum(heads[u] < h for u in blockers[v]) if h < end else empty
-               for v, h in enumerate(heads)]  # |V| once v has none left
-    out: list[ComponentElement] = []
-    for _ in range(sum(map(len, stacks))):
-        v = waiting.index(0)
-        out.append(piled[heads[v]])
-        h = heads[v] = next(queues[v], end)
-        count = 0
-        for u in blockers[v]:
-            if heads[u] < h:  # u's head now precedes v's
-                waiting[u] -= 1
-                count += 1
-        waiting[v] = count if h < end else empty
-    return tuple(out)
+    front = _front(gp, piled, stacks)
+    next(front)
+    return tuple(list(front))
 
 
 def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
@@ -460,26 +477,41 @@ def lclm(b: GPElement, c: GPElement) -> tuple[GPElement, GPElement, GPElement] |
     return s, t, m
 
 
-def hclf(a: GPElement, b: GPElement) -> GPElement:
-    """Highest common left factor: greedy stripping of shared initial
-    component factors, least vertex first."""
+def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPElement]:
+    """(x, a', b') with x = hclf(a, b), a = x*a' and b = x*b': while some
+    vertex is available in both fronts, least first, with a nonidentity
+    component hclf f of its heads, f joins x and is stripped from both heads.
+    Peeling never makes two syllables mergeable, so the rest of each front
+    reads off as a' and b'.  O(n |V|)."""
     _require_same(a, b)
     gp = a.gp
-    acc = identity(gp)
-    progress = True
-    while progress:
-        progress = False
-        for v in gp.vertices:
-            da, ra = initial_component(a, v)
-            db, rb = initial_component(b, v)
-            if da is None or db is None:
-                continue
-            f = comp_hclf(da.payload, db.payload)
-            if _is_identity_payload(f):
-                continue
-            acc = multiply(acc, component_embed(gp, v, f))
-            a = multiply(component_embed(gp, v, comp_left_divide(da.payload, f)), ra)
-            b = multiply(component_embed(gp, v, comp_left_divide(db.payload, f)), rb)
-            progress = True
-            break
-    return acc
+    if not (a.expr and b.expr):
+        return identity(gp), a, b
+    fronts = []
+    for expr in (a.expr, b.expr):  # reduced already: nothing to pile
+        stacks = [[pos for pos, ce in enumerate(expr) if ce.vertex == v] for v in gp.vertices]
+        fronts.append(_front(gp, list(expr), stacks))
+    (pa, ha, wa), (pb, hb, wb) = states = [next(front) for front in fronts]
+    common: list[ComponentElement] = []
+    v = 0
+    while v < len(wa):
+        if not (wa[v] or wb[v]):
+            f = comp_hclf(pa[ha[v]].payload, pb[hb[v]].payload)
+            if not _is_identity_payload(f):
+                common.append(ComponentElement(pa[ha[v]].vertex, f))
+                for front, (piled, heads, _) in zip(fronts, states):
+                    rest = comp_left_divide(piled[heads[v]].payload, f)
+                    if _is_identity_payload(rest):
+                        front.send(v)
+                    else:
+                        piled[heads[v]] = ComponentElement(piled[heads[v]].vertex, rest)
+                v = -1  # least vertex first again
+        v += 1
+    return (GPElement(gp, shuffle_reduce(gp, common)),
+            *(GPElement(gp, tuple(list(front))) for front in fronts))
+
+
+def hclf(a: GPElement, b: GPElement) -> GPElement:
+    """Highest common left factor: the pieces one strip peels off the
+    fronts of a and b together (``_strip_hclf``)."""
+    return _strip_hclf(a, b)[0]

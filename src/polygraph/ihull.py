@@ -15,6 +15,7 @@ from itertools import groupby
 
 from .gproduct import (
     _read_tokens,
+    _strip_hclf,
     _write_runs,
     GPElement,
     identity,
@@ -22,8 +23,6 @@ from .gproduct import (
     make_element,
     multiply,
     right_divide,
-    hclf,
-    left_divide,
 )
 from .graph import GraphProduct, Value
 
@@ -132,8 +131,7 @@ def max_above(s: IHElement) -> IHPair:
     common left factor of its coordinates."""
     if s is ZERO:
         raise ValueError("zero has no maximal element above it")
-    x = hclf(s.a, s.b)
-    return IHPair(left_divide(s.a, x), left_divide(s.b, x))
+    return IHPair(*_strip_hclf(s.a, s.b)[1:])
 
 
 def green_L(s: IHElement, t: IHElement) -> bool:

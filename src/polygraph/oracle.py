@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Sequence
 from .gproduct import (
     ComponentElement,
     GPElement,
-    Payload,
     _is_identity_payload,
     make_element,
     multiply,
@@ -24,10 +23,6 @@ from .gproduct import (
 from .graph import GraphProduct
 
 DEFAULT_MAX_CLASS = 200_000
-
-
-def comp_mul(x: Payload, y: Payload) -> Payload:
-    return x + y  # int addition or tuple concatenation
 
 
 class BoundExceeded(RuntimeError):
@@ -71,7 +66,7 @@ def shuffle_reduce_reference(
             j = i + 1
             while j < len(comps):
                 if comps[j].vertex == v:
-                    payload = comp_mul(comps[i].payload, comps[j].payload)
+                    payload = comps[i].payload + comps[j].payload  # int or tuple
                     del comps[j]
                     changed = True
                     if _is_identity_payload(payload):
@@ -100,6 +95,23 @@ def shuffle_reduce_reference(
     return tuple(out)
 
 
+def _swap_closure(start: tuple, commute, max_size: int, what: str) -> frozenset:
+    """Closure of a sequence under swaps of neighbouring entries that commute."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for i in range(len(w) - 1):
+            if commute(w[i], w[i + 1]):
+                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if nxt not in seen:
+                    if len(seen) >= max_size:
+                        raise BoundExceeded(f"{what} class larger than {max_size}")
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return frozenset(seen)
+
+
 def shuffle_class(
     gp: GraphProduct,
     expr: Sequence[ComponentElement],
@@ -109,19 +121,7 @@ def shuffle_class(
     start = tuple(expr)
     if not is_reduced(gp, start):
         raise ValueError("expression is not reduced")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for i in range(len(w) - 1):
-            if gp.adjacent(w[i].vertex, w[i + 1].vertex):
-                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if nxt not in seen:
-                    if len(seen) >= max_size:
-                        raise BoundExceeded(f"shuffle class larger than {max_size}")
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+    return _swap_closure(start, lambda x, y: gp.adjacent(x.vertex, y.vertex), max_size, "shuffle")
 
 
 def element_letters(a: GPElement) -> tuple[str, ...]:
@@ -145,21 +145,10 @@ def letter_shuffle_class(
     At letter level no amalgamation exists, so membership in this closure is
     exactly equality in the graph product.
     """
-    start = tuple(letters)
     vertex = gp.vertex_of_letter
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for i in range(len(w) - 1):
-            if gp.adjacent(vertex(w[i]), vertex(w[i + 1])):
-                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if nxt not in seen:
-                    if len(seen) >= max_size:
-                        raise BoundExceeded(f"letter class larger than {max_size}")
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+    return _swap_closure(
+        tuple(letters), lambda x, y: gp.adjacent(vertex(x), vertex(y)), max_size, "letter"
+    )
 
 
 def words_equal(gp: GraphProduct, w1: Sequence[str], w2: Sequence[str]) -> bool:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from polygraph.builtin import builtin, mono_graph
-from polygraph.gproduct import make_element
+from polygraph.gproduct import ComponentElement, make_element
 from polygraph.graph import parse_graph
 
 BUILTIN_NAMES = ("single", "k2_edgeless", "p3", "k3", "mixed")
@@ -50,6 +50,38 @@ def graph_products(draw, max_vertices=4):
         if draw(st.booleans()):
             lines.append(f"edge v{i} v{j}")
     return parse_graph("\n".join(lines) + "\n")
+
+
+@st.composite
+def graph_and_syllables(draw, signed=False, max_vertices=12):
+    """A graph with up to ``max_vertices`` vertices and up to 300 syllables,
+    drawn in runs of 1 to 6 syllables of one vertex, so that free vertices
+    get long runs of pieces to join.  Signed syllables carry nonzero
+    exponents, as group_reduce (+1/-1) and eta (-k for the first coordinate,
+    k for the second) pass them; a run's signs vary, so stacks empty
+    mid-pile."""
+    graphs = mono_graphs(1, max_vertices)
+    gp = draw(graphs if signed else st.one_of(graphs, graph_products(max_vertices)))
+    n = draw(st.integers(0, 300))
+    picks = draw(st.lists(
+        st.tuples(
+            st.sampled_from(gp.vertices), st.integers(1, 6), st.integers(1, 3),
+            st.integers(0, 255),
+        ),
+        min_size=n // 3, max_size=n // 3 + 1,
+    ))
+    syllables = []
+    for v, run, k, bits in picks:
+        for i in range(run):
+            if signed:
+                payload = -k if bits >> i & 1 else k
+            elif gp.is_mono(v):
+                payload = k
+            else:
+                letters = gp.letters(v)
+                payload = tuple(letters[(bits >> (i + j)) % len(letters)] for j in range(k))
+            syllables.append(ComponentElement(v, payload))
+    return gp, syllables[:n]
 
 
 @st.composite

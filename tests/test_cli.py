@@ -159,6 +159,23 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("option, value", [("--max-len", "-1"), ("--max-vertices", "0")])
+def test_check_bounds_below_range_exit_2(capsys, option, value):
+    # unchecked, --max-len -1 fails inside random.randrange, and
+    # --max-vertices 0 passes after zero lclm comparisons
+    with pytest.raises(SystemExit) as exc:
+        main(["check", option, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument {option}: must be at least {int(value) + 1}")
+
+
+def test_check_least_bounds_pass(capsys):
+    code, out, _ = run(capsys, "check", "--max-len", "0", "--max-vertices", "1")
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_import_is_lean():
     # building the parser and running an algebra command needs neither the
     # property suites and their oracles nor json nor dataclasses

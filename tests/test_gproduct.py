@@ -1,4 +1,6 @@
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from polygraph import oracle
 from polygraph.builtin import builtin, mono_graph
+from polygraph.graph import parse_graph
 from polygraph.gproduct import (
     ComponentElement,
     component_embed,
@@ -22,8 +25,9 @@ from polygraph.gproduct import (
     shuffle_reduce,
     split_final,
 )
+from polygraph.ihull import IHPair, max_above
 
-from conftest import graph_and_words, graph_products, mono_graphs, word_element
+from conftest import graph_and_syllables, graph_and_words, word_element
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +61,14 @@ def test_make_element_errors(p3):
         make_element(p3, "x1^0")
 
 
+@pytest.mark.parametrize("pair", [("p", 2.0), ("w", 2.0), ("w", True), ("p", False)])
+def test_make_element_rejects_non_int_exponent(mixed, pair):
+    # unchecked, a float on a free letter raises TypeError in (letter,) * k,
+    # and a bool on a monogenic letter becomes the payload True
+    with pytest.raises(ValueError, match="must be an int"):
+        make_element(mixed, [pair])
+
+
 def test_make_element_mixes_tokens_and_pairs(p3):
     assert str(make_element(p3, ["x2", ("x1", 2), "x1^3", "1"])) == "x1^5 x2"
 
@@ -64,37 +76,6 @@ def test_make_element_mixes_tokens_and_pairs(p3):
 def test_normal_form_idempotent(p3):
     a = make_element(p3, "x3 x2 x1 x2")
     assert normal_form(p3, a.expr) == a
-
-
-@st.composite
-def graph_and_syllables(draw, signed=False):
-    """A graph with up to 12 vertices and up to 300 syllables, drawn in runs
-    of 1 to 6 syllables of one vertex, so that free vertices get long runs of
-    pieces to join.  Signed syllables carry nonzero exponents, as
-    group_reduce (+1/-1) and eta (-k for the first coordinate, k for the
-    second) pass them; a run's signs vary, so stacks empty mid-pile."""
-    graphs = mono_graphs(1, 12)
-    gp = draw(graphs if signed else st.one_of(graphs, graph_products(max_vertices=12)))
-    n = draw(st.integers(0, 300))
-    picks = draw(st.lists(
-        st.tuples(
-            st.sampled_from(gp.vertices), st.integers(1, 6), st.integers(1, 3),
-            st.integers(0, 255),
-        ),
-        min_size=n // 3, max_size=n // 3 + 1,
-    ))
-    syllables = []
-    for v, run, k, bits in picks:
-        for i in range(run):
-            if signed:
-                payload = -k if bits >> i & 1 else k
-            elif gp.is_mono(v):
-                payload = k
-            else:
-                letters = gp.letters(v)
-                payload = tuple(letters[(bits >> (i + j)) % len(letters)] for j in range(k))
-            syllables.append(ComponentElement(v, payload))
-    return gp, syllables[:n]
 
 
 @given(st.one_of(graph_and_syllables(), graph_and_syllables(signed=True)))
@@ -360,6 +341,54 @@ def test_hclf_examples(p3):
     assert hclf(make_element(p3, "x1 x2"), make_element(p3, "x1 x3")) == make_element(p3, "x1")
     a = make_element(p3, "x3 x2 x1")
     assert hclf(a, a) == a
+
+
+@pytest.mark.parametrize("graph, a, b, common", [
+    # u's heads share only the prefix p; their rests q and p differ, so u never
+    # strips again, and x, which does not commute with u, stays blocked
+    ("vertex u free p q\nvertex x mono\n", "p q x p", "p p x p", "p"),
+    # monogenic: x2 consumes b's head and shortens a's to x2^2
+    ("p3", "x2^3 x1", "x2 x3", "x2"),
+    # stripping x3 from both unblocks the smaller, non-adjacent x1
+    ("p3", "x3 x1", "x3 x1^2", "x3 x1"),
+    # a free head consumed in one coordinate, shortened in the other
+    ("mixed", "p q w^2", "p q p w", "p q w"),
+    ("p3", "x3 x2 x1", "x3 x2 x1", "x3 x2 x1"),  # identical inputs
+    ("p3", "1", "x1 x2", "1"),  # identity inputs
+    ("p3", "1", "1", "1"),
+])
+def test_hclf_strip_cases(graph, a, b, common):
+    gp = builtin(graph) if "\n" not in graph else parse_graph(graph)
+    a, b = make_element(gp, a), make_element(gp, b)
+    h = hclf(a, b)
+    assert h == make_element(gp, common)
+    assert h == oracle.hclf_oracle(a, b)
+    assert hclf(b, a) == h
+
+
+def test_hclf_long_common_prefix():
+    # ~2,000-syllable elements sharing a ~1,500-syllable left factor on a
+    # random 8-vertex graph at density 0.5; a strip that re-normalises the
+    # whole element per stripped piece takes many seconds here
+    rng = random.Random(8)
+    gp = mono_graph(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9) if rng.random() < 0.5])
+    letters = gp.all_letters()
+
+    def word(n):
+        return make_element(gp, [(rng.choice(letters), 1) for _ in range(n)])
+
+    x, ta, tb = word(2200), word(700), word(700)
+    a, b = multiply(x, ta), multiply(x, tb)
+    assert a.length > 1800 and b.length > 1800
+    t0 = time.perf_counter()
+    h = hclf(a, b)
+    t1 = time.perf_counter()
+    m = max_above(IHPair(a, b))
+    t2 = time.perf_counter()
+    assert t1 - t0 < 1.0 and t2 - t1 < 1.0
+    assert h == multiply(x, hclf(ta, tb))
+    assert multiply(h, m.a) == a and multiply(h, m.b) == b
+    assert hclf(m.a, m.b) == identity(gp)
 
 
 @given(graph_and_words(num_words=2, max_letters=4))

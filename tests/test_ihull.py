@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from polygraph import oracle
 from polygraph.builtin import builtin
-from polygraph.gproduct import identity, make_element, multiply
+from polygraph.gproduct import hclf, identity, left_divide, make_element, multiply, normal_form
+from polygraph.graph import parse_graph
 from polygraph.ihull import (
     IHPair,
     Relation,
@@ -29,7 +30,9 @@ from polygraph.ihull import (
     parse_ihelement,
 )
 
-from conftest import BUILTIN_NAMES, graph_and_words, graph_products, word_element
+from conftest import (
+    BUILTIN_NAMES, graph_and_syllables, graph_and_words, graph_products, word_element
+)
 
 
 def pair(gp, a, b):
@@ -136,6 +139,46 @@ def test_max_above_examples(p3):
     assert max_above(top) == top
     s = pair(p3, "x1 x2", "x1 x2")
     assert max_above(s) == ih_identity(p3)
+
+
+@pytest.mark.parametrize("graph, a, b, top", [
+    # u strips p only: its rests q and p differ, and x stays blocked behind u
+    ("vertex u free p q\nvertex x mono\n", "p q x p", "p p x p", "[q x p | p x p]"),
+    ("p3", "x2^3 x1", "x2 x3", "[x1 x2^2 | x3]"),  # a head consumed, one shortened
+    ("p3", "x3 x1", "x3 x1^2", "[1 | x1]"),  # x3 stripped, then x1 unblocked
+    ("mixed", "p q w^2", "p q p w", "[w | p]"),
+    ("p3", "x3 x2 x1", "x3 x2 x1", "[1 | 1]"),
+    ("p3", "1", "x1 x2", "[1 | x1 x2]"),
+])
+def test_max_above_strip_cases(graph, a, b, top):
+    gp = builtin(graph) if "\n" not in graph else parse_graph(graph)
+    s = pair(gp, a, b)
+    m = max_above(s)
+    assert str(m) == top
+    h = hclf(s.a, s.b)
+    assert m == IHPair(left_divide(s.a, h), left_divide(s.b, h))
+
+
+@st.composite
+def common_prefix_pairs(draw):
+    """(gp, x, a, b): a graph with up to 8 vertices, mono or mixed, and three
+    elements cut from 0 to 300 syllables, so that x*a and x*b share x."""
+    gp, syllables = draw(graph_and_syllables(max_vertices=8))
+    i, j = sorted(draw(st.integers(0, len(syllables))) for _ in range(2))
+    x, a, b = (normal_form(gp, part) for part in (syllables[:i], syllables[i:j], syllables[j:]))
+    return gp, x, a, b
+
+
+@given(common_prefix_pairs())
+@settings(max_examples=80, deadline=None)
+def test_max_above_strips_hclf(gxab):
+    gp, x, a, b = gxab
+    xa, xb = multiply(x, a), multiply(x, b)
+    h = hclf(xa, xb)
+    assert h == multiply(x, hclf(a, b))
+    m = max_above(IHPair(xa, xb))
+    assert m == IHPair(left_divide(xa, h), left_divide(xb, h))
+    assert hclf(m.a, m.b) == identity(gp)
 
 
 def test_max_above_is_above_and_idempotent_operation(small_pairs):
