@@ -5,10 +5,10 @@ Builds seeded random graphs with 2 to 8 vertices, all-monogenic and mixed,
 and on each runs rounds of random words through the public operations:
 make_element, multiply, both divisions (a quotient that exists and one that
 may not), final and initial components, lclm, hclf, ih_multiply, max_above,
-natural_le and eval_word, plus group_reduce and eta on the all-monogenic
-graphs.  Every result is one case, rendered exactly (syllable by syllable,
-payload types included), and the script prints the number of cases and a
-sha256 over them.
+natural_le and eval_word, plus group_reduce, eta, and the inverse and
+product of group words on the all-monogenic graphs.  Every result is one
+case, rendered exactly (syllable by syllable, payload types included), and
+the script prints the number of cases and a sha256 over them.
 
 Two trees give the same digest exactly when they give the same outputs, so
 a change that should not alter any result is checked by running this under
@@ -140,9 +140,14 @@ def cases(seed: int, num_graphs: int):
             e = eval_word(gp, w)
             yield "eval_word", e
             if mono:
-                yield "group_reduce", group_reduce(gp, w + " " + signed_word())
-                yield "eta", eta(s)
+                r, h = group_reduce(gp, w + " " + signed_word()), eta(s)
+                yield "group_reduce", r
+                yield "eta", h
                 yield "eta-eval", eta(e, gp)
+                yield "group-inverse", r.inverse()
+                yield "group-inverse", h.inverse()
+                yield "group-mul", r * h
+                yield "group-mul", h.inverse() * r
 
 
 def main() -> None:

@@ -53,12 +53,16 @@ class ComponentElement(Value):
 
 def _read_tokens(word: str | Iterable, signed: bool = False) -> Iterator[tuple[str, int]]:
     """(letter, exponent) of each ``a`` / ``a^k`` token of a word, skipping
-    ``"1"``; (letter, k) pairs in an iterable pass through if k is an int.
-    A signed word's exponent must not be zero; callers check a monoid word's."""
+    ``"1"``; (letter, k) pairs in an iterable pass through if k is an int,
+    and in a signed word only if k is 1 or -1.  A signed word's exponent must
+    not be zero; callers check a monoid word's."""
     for tok in word.split() if isinstance(word, str) else word:
         if isinstance(tok, tuple):
-            if not isinstance(tok[1], int) or isinstance(tok[1], bool):
-                raise ValueError(f"exponent on {tok[0]!r} must be an int, not {tok[1]!r}")
+            letter, k = tok
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ValueError(f"exponent on {letter!r} must be an int, not {k!r}")
+            if signed and k not in (1, -1):
+                raise ValueError(f"sign of {letter!r} must be 1 or -1, not {k!r}")
             yield tok
             continue
         if tok == "1":
@@ -273,7 +277,7 @@ def shuffle_reduce(
         stacks[v].append(top)
         piled.append(ce)
     for pos, run in pieces.items():
-        piled[pos] = ComponentElement(piled[pos].vertex, tuple(chain.from_iterable(run)))
+        piled[pos] = ComponentElement(piled[pos].vertex, tuple(list(chain.from_iterable(run))))
     front = _front(gp, piled, stacks)
     next(front)
     return tuple(list(front))

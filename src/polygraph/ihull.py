@@ -153,22 +153,20 @@ def green_H(s: IHElement, t: IHElement) -> bool:
 # ---------------------------------------------------------------------------
 # signed words
 
-def _checked_sign(token: SignedToken) -> SignedToken:
-    letter, sign = token
-    if sign not in (1, -1):
-        raise ValueError(f"sign of {letter!r} must be 1 or -1, not {sign!r}")
-    return token
+def _expand(runs: Iterable[tuple[str, int]]) -> tuple[SignedToken, ...]:
+    """One (letter, +1 or -1) token per letter of (letter, signed exponent)
+    runs."""
+    out: list[SignedToken] = []
+    for letter, exp in runs:
+        out.extend([(letter, 1 if exp > 0 else -1)] * abs(exp))
+    return tuple(out)
 
 
 def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
-    """Signed-word syntax: letter tokens with optional ``^k`` / ``^-k``.
-    Tokens given as (letter, sign) pairs must have sign 1 or -1."""
-    if not isinstance(text, str):
-        return tuple(map(_checked_sign, text))
-    out: list[SignedToken] = []
-    for letter, exp in _read_tokens(text, signed=True):
-        out.extend([(letter, 1 if exp > 0 else -1)] * abs(exp))
-    return tuple(out)
+    """Signed-word syntax, expanded to one token per letter: letter tokens
+    with optional ``^k`` / ``^-k``, or (letter, sign) pairs with sign 1 or
+    -1."""
+    return _expand(_read_tokens(text, signed=True))
 
 
 def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
@@ -180,8 +178,8 @@ def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
 def _runs(word: str | Iterable[SignedToken]) -> Iterator[tuple[str, int]]:
     """Maximal runs of a signed word as (letter, signed exponent);
     neighbouring tokens of the same signed letter merge."""
-    pairs = _read_tokens(word, signed=True) if isinstance(word, str) else parse_pgword(word)
-    for (letter, _), run in groupby(pairs, key=lambda p: (p[0], p[1] > 0)):
+    tokens = _read_tokens(word, signed=True)
+    for (letter, _), run in groupby(tokens, key=lambda p: (p[0], p[1] > 0)):
         yield letter, sum(exp for _, exp in run)
 
 

@@ -14,43 +14,41 @@ from collections.abc import Iterable
 
 from .gproduct import ComponentElement, shuffle_reduce
 from .graph import GraphProduct, Value
-from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, format_pgword, parse_pgword
+from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, _expand, _runs
 
 
 class GroupWord(Value):
     """Canonical reduced word: lexicographically least among the reduced
     words equivalent under commuting swaps, vertex order first and positive
-    before negative."""
+    before negative.
 
-    __slots__ = _fields = ("gp", "letters")
+    ``expr`` holds its syllables as the normal-form kernel returns them, one
+    signed exponent per maximal run of a letter, the shape of
+    ``GPElement.expr``.  ``letters`` expands them to one (letter, +1 or -1)
+    token per letter; it is the only member whose cost grows with the
+    exponents."""
+
+    __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
-    letters: tuple[SignedToken, ...]
+    expr: tuple[ComponentElement, ...]
 
-    def __init__(self, gp: GraphProduct, letters: tuple[SignedToken, ...]) -> None:
-        object.__setattr__(self, "gp", gp)
-        object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gp, self.letters) == (other.gp, other.letters)
-
-    def __hash__(self) -> int:
-        return hash((self.gp, self.letters))
+    @property
+    def letters(self) -> tuple[SignedToken, ...]:
+        return _expand((ce.vertex, ce.payload) for ce in self.expr)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.expr
 
     def inverse(self) -> "GroupWord":
-        return group_reduce(self.gp, [(l, -s) for l, s in reversed(self.letters)])
+        return GroupWord(self.gp, shuffle_reduce(self.gp, _inverted(self.expr)))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.gp != other.gp:
             raise ValueError("words belong to different graphs")
-        return group_reduce(self.gp, self.letters + other.letters)
+        return GroupWord(self.gp, shuffle_reduce(self.gp, self.expr + other.expr))
 
     def __str__(self) -> str:
-        return format_pgword(self.letters)
+        return " ".join(map(str, self.expr)) or "1"
 
     def __repr__(self) -> str:
         return f"<GroupWord {self}>"
@@ -64,23 +62,18 @@ def _require_mono(gp: GraphProduct) -> None:
         raise ValueError("graph group arithmetic needs all-monogenic components")
 
 
+def _inverted(expr: tuple[ComponentElement, ...]) -> list[ComponentElement]:
+    return [ComponentElement(ce.vertex, -ce.payload) for ce in reversed(expr)]
+
+
 def group_reduce(gp: GraphProduct, word: str | Iterable[SignedToken]) -> GroupWord:
     """Reduced word of a signed word: the normal-form kernel applied to its
-    letters as syllables with exponent +1 or -1."""
+    maximal runs as syllables with signed exponents."""
     _require_mono(gp)
-    syllables = []
-    for letter, sign in parse_pgword(word):
+    runs = list(_runs(word))  # syntax errors before any other
+    for letter, _ in runs:
         gp.vertex_index(letter)
-        syllables.append(ComponentElement(letter, sign))
-    return _group_word(gp, syllables)
-
-
-def _group_word(gp: GraphProduct, syllables: Iterable[ComponentElement]) -> GroupWord:
-    letters: list[SignedToken] = []
-    for ce in shuffle_reduce(gp, syllables):
-        sign = 1 if ce.payload > 0 else -1
-        letters.extend([(ce.vertex, sign)] * abs(ce.payload))
-    return GroupWord(gp, tuple(letters))
+    return GroupWord(gp, shuffle_reduce(gp, [ComponentElement(*run) for run in runs]))
 
 
 def group_identity(gp: GraphProduct) -> GroupWord:
@@ -99,5 +92,4 @@ def eta(s: IHElement, gp: GraphProduct | None = None) -> GroupOrZero:
         raise TypeError(f"eta needs an inverse-hull element, not {type(s).__name__}")
     gp = s.a.gp
     _require_mono(gp)
-    inverse_a = [ComponentElement(ce.vertex, -ce.payload) for ce in reversed(s.a.expr)]
-    return _group_word(gp, inverse_a + list(s.b.expr))
+    return GroupWord(gp, shuffle_reduce(gp, _inverted(s.a.expr) + list(s.b.expr)))

@@ -92,6 +92,11 @@ def test_group_nf(capsys, p3_file):
     assert (code, out) == (0, "x2\n")
 
 
+def test_group_nf_huge_exponent(capsys, p3_file):
+    code, out, _ = run(capsys, "-g", p3_file, "group", "nf", "x1^1000000000")
+    assert (code, out) == (0, "x1^1000000000\n")
+
+
 def test_present(capsys, tmp_path):
     f = tmp_path / "single.graph"
     f.write_text(BUILTIN_GRAPH_TEXTS["single"])

@@ -293,7 +293,7 @@ def test_eval_word_merges_runs(p3):
     assert eval_word(p3, "x1 x1^2 x2^-1 x2^-1") == eval_word(p3, "x1^3 x2^-2")
 
 
-@pytest.mark.parametrize("sign", [2, 0])
+@pytest.mark.parametrize("sign", [2, 0, True, 1.0])
 def test_eval_word_rejects_bad_sign(p3, sign):
     with pytest.raises(ValueError):
         eval_word(p3, [("x1", sign)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from polygraph import oracle
 from polygraph.builtin import builtin
 from polygraph.gproduct import make_element
-from polygraph.ihull import IHPair, ZERO, ih_multiply
+from polygraph.ihull import IHPair, ZERO, format_pgword, ih_multiply
 from polygraph.ragroup import eta, group_identity, group_reduce
 
 from conftest import graph_and_words, mono_graphs, word_element
@@ -61,7 +61,7 @@ def test_reduce_examples(p3):
 
 
 def test_reduce_rejects_bad_sign(p3):
-    for sign in (0, 2):
+    for sign in (0, 2, True, 1.0):
         with pytest.raises(ValueError):
             group_reduce(p3, [("x1", sign)])
 
@@ -77,6 +77,7 @@ def test_reduce_idempotent(gp, data):
     w = data.draw(signed_words(gp))
     r = group_reduce(gp, w)
     assert group_reduce(gp, r.letters) == r
+    assert str(r) == format_pgword(r.letters)
 
 
 @given(mono_graphs(max_vertices=3), st.data())
@@ -120,6 +121,15 @@ def test_long_word_times_inverse_is_identity():
     inverse = [(l, -s) for l, s in reversed(w)]
     assert group_reduce(gp, w + inverse).is_identity()
     assert len(group_reduce(gp, w).letters) > 100
+
+
+def test_huge_exponents_stay_syllables():
+    # one syllable per run: nothing of size 10^9 is built unless .letters is read
+    w = group_reduce(builtin("k2_edgeless"), "x1^1000000000 x2 x1^-5")
+    assert str(w) == "x1^1000000000 x2 x1^-5"
+    assert len(w.expr) == 3
+    assert str(w.inverse()) == "x1^5 x2^-1 x1^-1000000000"
+    assert (w * w.inverse()).is_identity()
 
 
 # ---------------------------------------------------------------------------
