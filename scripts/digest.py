@@ -6,9 +6,11 @@ and on each runs rounds of random words through the public operations:
 make_element, multiply, both divisions (a quotient that exists and one that
 may not), final and initial components, lclm, hclf, ih_multiply, max_above,
 natural_le and eval_word, plus group_reduce, eta, and the inverse and
-product of group words on the all-monogenic graphs.  Every result is one
-case, rendered exactly (syllable by syllable, payload types included), and
-the script prints the number of cases and a sha256 over them.
+product of group words on the all-monogenic graphs.  Last, each graph gets
+one right and one left division of a product of two 60-100 letter words.
+Every result is one case, rendered exactly (syllable by syllable, payload
+types included), and the script prints the number of cases and a sha256
+over them.
 
 Two trees give the same digest exactly when they give the same outputs, so
 a change that should not alter any result is checked by running this under
@@ -95,8 +97,10 @@ def render(x) -> str:
 def cases(seed: int, num_graphs: int):
     """Yield one line per case: the operation's name and its rendered result."""
     rng = random.Random(seed)
+    graphs = []
     for g in range(num_graphs):
         gp, letters = random_graph(rng, mixed=g % 2 == 1)
+        graphs.append((gp, letters))
         mono = gp.all_mono()
         max_len = rng.choice((14, 30))
 
@@ -148,6 +152,12 @@ def cases(seed: int, num_graphs: int):
                 yield "group-inverse", h.inverse()
                 yield "group-mul", r * h
                 yield "group-mul", h.inverse() * r
+    # drawn after every case above, so those keep their inputs
+    for gp, letters in graphs:
+        a, c = (make_element(gp, " ".join(rng.choices(letters, k=rng.randint(60, 100))))
+                for _ in range(2))
+        yield "right_divide-long", right_divide(multiply(a, c), c)
+        yield "left_divide-long", left_divide(multiply(c, a), c)
 
 
 def main() -> None:

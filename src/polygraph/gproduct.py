@@ -296,7 +296,8 @@ def make_element(gp: GraphProduct, word: str | Iterable) -> GPElement:
 
     ``word`` is whitespace-separated letter tokens with optional ``^k``
     exponents (k >= 1), or an iterable of such tokens and (letter, k) pairs;
-    ``"1"`` denotes the identity.
+    ``"1"`` denotes the identity.  Each syllable is built from a declared
+    letter and a checked exponent, so it goes to the kernel unvalidated.
     """
     raw: list[ComponentElement] = []
     for letter, k in list(_read_tokens(word)):  # syntax errors before any other
@@ -304,7 +305,7 @@ def make_element(gp: GraphProduct, word: str | Iterable) -> GPElement:
             raise ValueError(f"exponent on {letter!r} must be >= 1")
         v = gp.vertex_of_letter(letter)
         raw.append(ComponentElement(v, k if gp.is_mono(v) else (letter,) * k))
-    return normal_form(gp, raw)
+    return GPElement(gp, shuffle_reduce(gp, raw))
 
 
 def identity(gp: GraphProduct) -> GPElement:
@@ -393,7 +394,11 @@ def initial_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GP
 # division, LCLM, HCLF
 
 def right_divide(a: GPElement, c: GPElement) -> GPElement | None:
-    """The unique b with a = b*c, or None when c does not right-divide a."""
+    """The unique b with a = b*c, or None when c does not right-divide a.
+
+    Peels c's syllables from the right off final components of a.  A peel
+    that consumes its component (an identity remainder, 0 or ()) keeps the
+    canonical rest as it is; only a remainder is multiplied back."""
     _require_same(a, c)
     cur = a
     for ce in reversed(c.expr):
@@ -403,12 +408,12 @@ def right_divide(a: GPElement, c: GPElement) -> GPElement | None:
         rem = comp_right_divide(d.payload, ce.payload)
         if rem is None:
             return None
-        cur = multiply(comp, component_embed(a.gp, ce.vertex, rem))
+        cur = multiply(comp, component_embed(a.gp, ce.vertex, rem)) if rem else comp
     return cur
 
 
 def left_divide(a: GPElement, c: GPElement) -> GPElement | None:
-    """The unique b with a = c*b, or None."""
+    """The unique b with a = c*b, or None: right_divide's mirror image."""
     _require_same(a, c)
     cur = a
     for ce in c.expr:
@@ -418,7 +423,7 @@ def left_divide(a: GPElement, c: GPElement) -> GPElement | None:
         rem = comp_left_divide(d.payload, ce.payload)
         if rem is None:
             return None
-        cur = multiply(component_embed(a.gp, ce.vertex, rem), comp)
+        cur = multiply(component_embed(a.gp, ce.vertex, rem), comp) if rem else comp
     return cur
 
 

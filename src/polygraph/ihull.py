@@ -162,13 +162,6 @@ def _expand(runs: Iterable[tuple[str, int]]) -> tuple[SignedToken, ...]:
     return tuple(out)
 
 
-def parse_pgword(text: str | Iterable[SignedToken]) -> tuple[SignedToken, ...]:
-    """Signed-word syntax, expanded to one token per letter: letter tokens
-    with optional ``^k`` / ``^-k``, or (letter, sign) pairs with sign 1 or
-    -1."""
-    return _expand(_read_tokens(text, signed=True))
-
-
 def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
     if word is ZERO:
         return "0"

@@ -248,11 +248,42 @@ def test_final_component_functorial(gw, k):
 # ---------------------------------------------------------------------------
 # division
 
-def test_right_divide_examples(p3):
+def _divisions(gp, divide, rows):
+    for a, c, want in rows:
+        got = divide(make_element(gp, a), make_element(gp, c))
+        assert got == (None if want is None else make_element(gp, want)), (a, c)
+
+
+def test_right_divide_examples(p3, mixed):
     assert right_divide(make_element(p3, "x1 x2"), make_element(p3, "x2")) == make_element(p3, "x1")
     assert right_divide(make_element(p3, "x1 x3"), make_element(p3, "x1")) is None
     a = make_element(p3, "x3 x2 x1")
     assert right_divide(a, identity(p3)) == a
+    _divisions(p3, right_divide, [
+        ("x2^2 x3 x1", "x3 x1", "x2^2"),  # two consumed monogenic peels
+        ("x1^3 x2", "x1^2", "x1 x2"),  # the remainder x1 merges at the boundary
+    ])
+    _divisions(mixed, right_divide, [
+        ("p q q", "q", "p q"),  # free remainder
+        ("p q w", "p q", "w"),  # consumed free peel
+        ("p q", "p", None),  # p is not a suffix of p q
+    ])
+
+
+def test_left_divide_examples(p3, mixed):
+    assert left_divide(make_element(p3, "x1 x3"), make_element(p3, "x3")) is None
+    a = make_element(p3, "x3 x2 x1")
+    assert left_divide(a, identity(p3)) == a
+    _divisions(p3, left_divide, [
+        ("x1 x2", "x1", "x2"),  # consumed monogenic peel
+        ("x1^3", "x1", "x1^2"),  # monogenic remainder
+        ("x1 x3 x2^2", "x1 x3", "x2^2"),  # two consumed monogenic peels
+    ])
+    _divisions(mixed, left_divide, [
+        ("p p q", "p", "p q"),  # free remainder
+        ("p q w", "p q", "w"),  # consumed free peel
+        ("p q", "q", None),  # q is not a prefix of p q
+    ])
 
 
 @given(graph_and_words(num_words=2, max_letters=4))
