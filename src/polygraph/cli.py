@@ -174,11 +174,12 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"argument --{option.replace('_', '-')}: must be at least {least}")
     try:
         return _run(args)
-    except (GraphError, ValueError, OSError, RecursionError) as exc:
+    except (GraphError, ValueError, OSError, RecursionError, MemoryError) as exc:
+        detail = str(exc) or exc.__class__.__name__  # a MemoryError often has no message
         if args.format == "json":
-            _print_json({"result": None, "status": "error", "detail": str(exc)})
+            _print_json({"result": None, "status": "error", "detail": detail})
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

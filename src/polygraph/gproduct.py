@@ -20,7 +20,7 @@ import re
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import chain, groupby, repeat
 
-from .graph import GraphProduct, Value
+from .graph import GraphError, GraphProduct, Value
 
 Payload = int | tuple[str, ...]
 
@@ -51,11 +51,14 @@ class ComponentElement(Value):
         return _write_runs([(self.vertex, p)] if isinstance(p, int) else zip(p, repeat(1)))
 
 
-def _read_tokens(word: str | Iterable, signed: bool = False) -> Iterator[tuple[str, int]]:
+def _read_tokens(
+    word: str | Iterable, letter_vertex: dict[str, str], signed: bool = False
+) -> Iterator[tuple[str, int]]:
     """(letter, exponent) of each ``a`` / ``a^k`` token of a word, skipping
     ``"1"``; (letter, k) pairs in an iterable pass through if k is an int,
-    and in a signed word only if k is 1 or -1.  A signed word's exponent must
-    not be zero; callers check a monoid word's."""
+    and in a signed word only if k is 1 or -1.  A token that is a key of
+    ``letter_vertex`` is read as (token, 1) without the regex.  A signed
+    word's exponent must not be zero; callers check a monoid word's."""
     for tok in word.split() if isinstance(word, str) else word:
         if isinstance(tok, tuple):
             letter, k = tok
@@ -64,6 +67,9 @@ def _read_tokens(word: str | Iterable, signed: bool = False) -> Iterator[tuple[s
             if signed and k not in (1, -1):
                 raise ValueError(f"sign of {letter!r} must be 1 or -1, not {k!r}")
             yield tok
+            continue
+        if tok in letter_vertex:  # a declared letter, the common token
+            yield tok, 1
             continue
         if tok == "1":
             continue
@@ -87,7 +93,13 @@ def _write_runs(tokens: Iterable[tuple[str, int]]) -> str:
 
 
 class GPElement(Value):
-    """Canonical reduced expression of a graph-product element."""
+    """Canonical reduced expression of a graph-product element.
+
+    The constructor checks nothing: ``expr`` must already be canonical.  The
+    entry points that validate their input are ``make_element``,
+    ``normal_form``, ``component_embed`` and the word readers ``eval_word``
+    and ``parse_ihelement``; every operation on elements, ``multiply``
+    included, trusts its factors."""
 
     __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
@@ -190,16 +202,18 @@ def comp_hclf(x: Payload, y: Payload) -> Payload:
 # normal form
 
 def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
-    v = ce.vertex
+    v, p = ce.vertex, ce.payload
+    if not isinstance(v, str):
+        raise GraphError(f"undeclared vertex {v!r}")
     if gp.is_mono(v):  # GraphError on an undeclared vertex
-        if not isinstance(ce.payload, int) or ce.payload < 1:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"monogenic payload for {v!r} must be a positive int")
     else:
-        if not isinstance(ce.payload, tuple) or not ce.payload:
+        if not isinstance(p, tuple) or not p:
             raise ValueError(f"free payload for {v!r} must be a nonempty letter tuple")
         letter_vertex = gp.letter_vertex
-        for a in ce.payload:
-            if letter_vertex.get(a) != v:
+        for a in p:
+            if not isinstance(a, str) or letter_vertex.get(a) != v:
                 raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
 
 
@@ -299,12 +313,13 @@ def make_element(gp: GraphProduct, word: str | Iterable) -> GPElement:
     ``"1"`` denotes the identity.  Each syllable is built from a declared
     letter and a checked exponent, so it goes to the kernel unvalidated.
     """
+    letter_vertex, kinds = gp.letter_vertex, gp._kinds
     raw: list[ComponentElement] = []
-    for letter, k in list(_read_tokens(word)):  # syntax errors before any other
+    for letter, k in list(_read_tokens(word, letter_vertex)):  # syntax errors before any other
         if k < 1:
             raise ValueError(f"exponent on {letter!r} must be >= 1")
-        v = gp.vertex_of_letter(letter)
-        raw.append(ComponentElement(v, k if gp.is_mono(v) else (letter,) * k))
+        v = letter_vertex.get(letter) or gp.vertex_of_letter(letter)  # GraphError if unknown
+        raw.append(ComponentElement(v, k if kinds[v] is None else (letter,) * k))
     return GPElement(gp, shuffle_reduce(gp, raw))
 
 
@@ -314,7 +329,7 @@ def identity(gp: GraphProduct) -> GPElement:
 
 def component_embed(gp: GraphProduct, v: str, payload: Payload) -> GPElement:
     """Embed a single component element; identity payload gives the identity."""
-    if _is_identity_payload(payload):
+    if _is_identity_payload(payload) and not isinstance(payload, bool):
         gp.vertex_index(v)
         return identity(gp)
     ce = ComponentElement(v, payload)
@@ -328,8 +343,10 @@ def _require_same(a: GPElement, b: GPElement) -> None:
 
 
 def multiply(a: GPElement, b: GPElement) -> GPElement:
+    """Product a*b: the factors' syllables are canonical already, so they go
+    to the kernel unvalidated."""
     _require_same(a, b)
-    return normal_form(a.gp, a.expr + b.expr)
+    return GPElement(a.gp, shuffle_reduce(a.gp, a.expr + b.expr))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +513,11 @@ def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPEle
     gp = a.gp
     if not (a.expr and b.expr):
         return identity(gp), a, b
-    fronts = []
+    indices, fronts = gp.indices, []
     for expr in (a.expr, b.expr):  # reduced already: nothing to pile
-        stacks = [[pos for pos, ce in enumerate(expr) if ce.vertex == v] for v in gp.vertices]
+        stacks: list[list[int]] = [[] for _ in gp.vertices]
+        for pos, ce in enumerate(expr):
+            stacks[indices[ce.vertex]].append(pos)
         fronts.append(_front(gp, list(expr), stacks))
     (pa, ha, wa), (pb, hb, wb) = states = [next(front) for front in fronts]
     common: list[ComponentElement] = []

@@ -17,6 +17,7 @@ from .gproduct import (
     _read_tokens,
     _strip_hclf,
     _write_runs,
+    ComponentElement,
     GPElement,
     identity,
     lclm,
@@ -168,10 +169,12 @@ def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
     return _write_runs(word) or "1"
 
 
-def _runs(word: str | Iterable[SignedToken]) -> Iterator[tuple[str, int]]:
+def _runs(
+    word: str | Iterable[SignedToken], letter_vertex: dict[str, str]
+) -> Iterator[tuple[str, int]]:
     """Maximal runs of a signed word as (letter, signed exponent);
     neighbouring tokens of the same signed letter merge."""
-    tokens = _read_tokens(word, signed=True)
+    tokens = _read_tokens(word, letter_vertex, signed=True)
     for (letter, _), run in groupby(tokens, key=lambda p: (p[0], p[1] > 0)):
         yield letter, sum(exp for _, exp in run)
 
@@ -184,8 +187,10 @@ def eval_word(gp: GraphProduct, word: str | Iterable[SignedToken]) -> IHElement:
     """
     one = identity(gp)
     acc: IHElement = ih_identity(gp)
-    for letter, exp in _runs(word):
-        g = make_element(gp, [(letter, abs(exp))])
+    letter_vertex, kinds = gp.letter_vertex, gp._kinds
+    for letter, exp in _runs(word, letter_vertex):
+        v, k = letter_vertex.get(letter) or gp.vertex_of_letter(letter), abs(exp)
+        g = GPElement(gp, (ComponentElement(v, k if kinds[v] is None else (letter,) * k),))
         acc = ih_multiply(acc, IHPair(one, g) if exp > 0 else IHPair(g, one))
     return acc
 

@@ -70,9 +70,11 @@ def group_reduce(gp: GraphProduct, word: str | Iterable[SignedToken]) -> GroupWo
     """Reduced word of a signed word: the normal-form kernel applied to its
     maximal runs as syllables with signed exponents."""
     _require_mono(gp)
-    runs = list(_runs(word))  # syntax errors before any other
+    indices = gp.indices
+    runs = list(_runs(word, gp.letter_vertex))  # syntax errors before any other
     for letter, _ in runs:
-        gp.vertex_index(letter)
+        if letter not in indices:
+            gp.vertex_index(letter)  # GraphError
     return GroupWord(gp, shuffle_reduce(gp, [ComponentElement(*run) for run in runs]))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polygraph import gproduct
+from polygraph import cli, gproduct
 from polygraph.builtin import BUILTIN_GRAPH_TEXTS
 from polygraph.cli import main
 
@@ -151,6 +151,19 @@ def test_recursion_error_exit_2(capsys, monkeypatch, p3_file):
     code, out, _ = run(capsys, "--format", "json", "-g", p3_file, "lclm", "x1", "x2")
     assert code == 2
     assert json.loads(out)["status"] == "error"
+
+
+def test_memory_error_exit_2(capsys, monkeypatch, p3_file):
+    # raised by a stand-in: a real out-of-memory state would starve other processes
+    def out_of_memory(gp, word):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_element", out_of_memory)
+    code, out, err = run(capsys, "-g", p3_file, "nf", "x1")
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+    code, out, _ = run(capsys, "--format", "json", "-g", p3_file, "nf", "x1")
+    assert code == 2
+    assert json.loads(out) == {"result": None, "status": "error", "detail": "MemoryError"}
 
 
 def test_deterministic_output(capsys, p3_file):

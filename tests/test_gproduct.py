@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from polygraph import oracle
 from polygraph.builtin import builtin, mono_graph
-from polygraph.graph import parse_graph
+from polygraph.graph import GraphError, parse_graph
 from polygraph.gproduct import (
     ComponentElement,
     component_embed,
@@ -27,7 +28,8 @@ from polygraph.gproduct import (
 )
 from polygraph.ihull import IHPair, max_above
 
-from conftest import graph_and_syllables, graph_and_words, word_element
+from conftest import graph_and_syllables, graph_and_words, graph_products, mono_graphs, word_element
+from reference import shuffle_reduce_reference
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,56 @@ def test_make_element_rejects_non_int_exponent(mixed, pair):
         make_element(mixed, [pair])
 
 
+@pytest.mark.parametrize("word, error, message", [
+    # every syntax error comes before any unknown-letter or exponent error
+    ("zz x1^", ValueError, "bad token 'x1^'"),
+    (["zz", ("x1", 1), "x1^^2"], ValueError, "bad token 'x1^^2'"),
+    (["x1", ("zz", 1), ("x1", 2.0)], ValueError, "exponent on 'x1' must be an int, not 2.0"),
+    # after that, the first bad token wins
+    ("zz x1^0", GraphError, "unknown letter 'zz'"),
+    ("x1 x1^0 zz", ValueError, "exponent on 'x1' must be >= 1"),
+    ([("x1", 1), ("zz", 2), ("x1", 0)], GraphError, "unknown letter 'zz'"),
+])
+def test_make_element_error_order(p3, word, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make_element(p3, word)
+
+
+def _text_word(tokens):
+    return " ".join(letter if k == 1 else f"{letter}^{k}" for letter, k in tokens)
+
+
+@st.composite
+def graph_and_tokens(draw):
+    """A mono or mixed graph and up to 40 (letter, k) tokens, 1 <= k <= 3."""
+    gp = draw(st.one_of(mono_graphs(), graph_products()))
+    tokens = draw(st.lists(
+        st.tuples(st.sampled_from(gp.all_letters()), st.integers(1, 3)), max_size=40,
+    ))
+    return gp, tokens
+
+
+@given(graph_and_tokens())
+@settings(max_examples=100, deadline=None)
+def test_make_element_text_pairs_and_syllables_agree(gt):
+    gp, tokens = gt
+    raw = []
+    for letter, k in tokens:
+        v = gp.vertex_of_letter(letter)
+        raw.append((v, k if gp.is_mono(v) else (letter,) * k))
+    e = make_element(gp, _text_word(tokens))
+    assert make_element(gp, tokens) == e
+    assert normal_form(gp, raw) == e
+
+
+@given(graph_and_tokens(), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_multiply_matches_normal_form(gt, cut):
+    gp, tokens = gt
+    a, b = make_element(gp, tokens[:cut]), make_element(gp, tokens[cut:])
+    assert multiply(a, b) == normal_form(gp, a.expr + b.expr)
+
+
 def test_make_element_mixes_tokens_and_pairs(p3):
     assert str(make_element(p3, ["x2", ("x1", 2), "x1^3", "1"])) == "x1^5 x2"
 
@@ -82,7 +134,7 @@ def test_normal_form_idempotent(p3):
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_reference(gs):
     gp, syllables = gs
-    assert shuffle_reduce(gp, syllables) == oracle.shuffle_reduce_reference(gp, syllables)
+    assert shuffle_reduce(gp, syllables) == shuffle_reduce_reference(gp, syllables)
 
 
 def _syllables(text):
@@ -123,7 +175,7 @@ def test_kernel_cases(graph, syllables, expected):
     syllables = _syllables(syllables)
     got = shuffle_reduce(gp, syllables)
     assert got == tuple(_syllables(expected))
-    assert got == oracle.shuffle_reduce_reference(gp, syllables)
+    assert got == shuffle_reduce_reference(gp, syllables)
 
 
 def test_make_element_long_word():
@@ -445,3 +497,20 @@ def test_component_embed_invalid(p3, mixed):
         component_embed(p3, "x1", ("x1",))
     with pytest.raises(ValueError):
         component_embed(mixed, "u", ("w",))
+
+
+@pytest.mark.parametrize("vertex, payload, message", [
+    # a bool is an int, but not a positive exponent, and False is not the identity
+    ("w", True, "monogenic payload for 'w' must be a positive int"),
+    ("w", False, "monogenic payload for 'w' must be a positive int"),
+    ("u", False, "free payload for 'u' must be a nonempty letter tuple"),
+    # a letter that is not a str, hashable or not
+    ("u", (["p"],), "letter ['p'] not in alphabet of 'u'"),
+    ("u", ("p", 5), "letter 5 not in alphabet of 'u'"),
+    (["u"], ("p",), "undeclared vertex ['u']"),
+])
+def test_validation_rejects_malformed_components(mixed, vertex, payload, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        component_embed(mixed, vertex, payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        normal_form(mixed, [(vertex, payload)])
