@@ -60,7 +60,9 @@ def _read_tokens(
     ``letter_vertex`` is read as (token, 1) without the regex.  A signed
     word's exponent must not be zero; callers check a monoid word's."""
     for tok in word.split() if isinstance(word, str) else word:
-        if isinstance(tok, tuple):
+        if not isinstance(tok, str):
+            if not (isinstance(tok, tuple) and len(tok) == 2 and isinstance(tok[0], str)):
+                raise ValueError(f"bad {'signed token' if signed else 'token'} {tok!r}")
             letter, k = tok
             if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"exponent on {letter!r} must be an int, not {k!r}")
@@ -147,25 +149,12 @@ class GPElement(Value):
 # ---------------------------------------------------------------------------
 # component-level arithmetic
 
-def _is_identity_payload(p: Payload) -> bool:
-    return p == 0 or p == ()
-
-
 def comp_right_divide(x: Payload, y: Payload) -> Payload | None:
     """r with x = r * y inside the component, or None."""
     if isinstance(x, int):
         return x - y if x >= y else None
     if y == () or (len(x) >= len(y) and x[len(x) - len(y):] == y):
         return x[: len(x) - len(y)]
-    return None
-
-
-def comp_left_divide(x: Payload, y: Payload) -> Payload | None:
-    """r with x = y * r inside the component, or None."""
-    if isinstance(x, int):
-        return x - y if x >= y else None
-    if x[: len(y)] == y:
-        return x[len(y):]
     return None
 
 
@@ -188,14 +177,16 @@ def comp_lclm(x: Payload, y: Payload) -> tuple[Payload, Payload, Payload] | None
     return None
 
 
-def comp_hclf(x: Payload, y: Payload) -> Payload:
-    """Highest common left factor inside the component (maybe identity)."""
+def comp_hclf(x: Payload, y: Payload) -> tuple[Payload, Payload, Payload]:
+    """(f, x', y') with f the highest common left factor inside the component
+    (maybe identity), x = f * x' and y = f * y'."""
     if isinstance(x, int):
-        return min(x, y)
+        f = min(x, y)
+        return f, x - f, y - f
     n = 0
     while n < len(x) and n < len(y) and x[n] == y[n]:
         n += 1
-    return x[:n]
+    return x[:n], x[n:], y[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +288,16 @@ def shuffle_reduce(
     return tuple(list(front))
 
 
+def _syllable(pair: object) -> ComponentElement:
+    try:
+        return ComponentElement(*pair)
+    except TypeError:  # not a (vertex, payload) pair
+        raise ValueError(f"bad syllable {pair!r}") from None
+
+
 def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
-    """Canonical form of an arbitrary expression sequence."""
-    comps = [ce if isinstance(ce, ComponentElement) else ComponentElement(*ce) for ce in raw]
+    """Canonical form of an arbitrary sequence of syllables or pairs."""
+    comps = [ce if isinstance(ce, ComponentElement) else _syllable(ce) for ce in raw]
     for ce in comps:
         _validate_component(gp, ce)
     return GPElement(gp, shuffle_reduce(gp, comps))
@@ -328,10 +326,11 @@ def identity(gp: GraphProduct) -> GPElement:
 
 
 def component_embed(gp: GraphProduct, v: str, payload: Payload) -> GPElement:
-    """Embed a single component element; identity payload gives the identity."""
-    if _is_identity_payload(payload) and not isinstance(payload, bool):
-        gp.vertex_index(v)
-        return identity(gp)
+    """Embed a single component element; the identity payload of v's kind,
+    0 or (), gives the identity."""
+    if isinstance(v, str) and type(payload) in (int, tuple):
+        if payload == (0 if gp.is_mono(v) else ()):  # GraphError on an undeclared v
+            return identity(gp)
     ce = ComponentElement(v, payload)
     _validate_component(gp, ce)
     return GPElement(gp, (ce,))
@@ -357,38 +356,18 @@ def split_final(
 ) -> tuple[ComponentElement | None, tuple[ComponentElement, ...]]:
     """Final v-component and raw complement of an arbitrary reduced expression.
 
-    The component is the rightmost v-entry provided everything after it is
-    adjacent to v; otherwise the final v-component is the identity (None).
+    A backward scan stops at the rightmost v-entry, the component, or at a
+    non-adjacent entry after it, where the final v-component is the identity
+    (None).
     """
     gp.vertex_index(v)
-    last = None
-    for j, ce in enumerate(expr):
+    for j in range(len(expr) - 1, -1, -1):
+        ce = expr[j]
         if ce.vertex == v:
-            last = j
-    if last is None:
-        return None, tuple(expr)
-    for k in range(last + 1, len(expr)):
-        if not gp.adjacent(expr[k].vertex, v):
-            return None, tuple(expr)
-    return expr[last], tuple(expr[:last]) + tuple(expr[last + 1:])
-
-
-def split_initial(
-    gp: GraphProduct, expr: Sequence[ComponentElement], v: str
-) -> tuple[ComponentElement | None, tuple[ComponentElement, ...]]:
-    """Dual of split_final: leftmost v-entry movable to the front."""
-    gp.vertex_index(v)
-    first = None
-    for j, ce in enumerate(expr):
-        if ce.vertex == v:
-            first = j
+            return ce, tuple(expr[:j]) + tuple(expr[j + 1:])
+        if not gp.adjacent(ce.vertex, v):
             break
-    if first is None:
-        return None, tuple(expr)
-    for k in range(first):
-        if not gp.adjacent(expr[k].vertex, v):
-            return None, tuple(expr)
-    return expr[first], tuple(expr[:first]) + tuple(expr[first + 1:])
+    return None, tuple(expr)
 
 
 def final_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
@@ -400,48 +379,55 @@ def final_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPEl
 
 
 def initial_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
-    """(d, a') with a = d*a' when d is nonidentity, a' = a when d is None."""
-    d, rest = split_initial(a.gp, a.expr, v)
+    """(d, a') with a = d*a' when d is nonidentity, a' = a when d is None:
+    split_final of the reversed syllables, which never reads payloads."""
+    d, rest = split_final(a.gp, a.expr[::-1], v)
     if d is None:
         return None, a
-    return d, normal_form(a.gp, rest)
+    return d, normal_form(a.gp, rest[::-1])
 
 
 # ---------------------------------------------------------------------------
 # division, LCLM, HCLF
 
-def right_divide(a: GPElement, c: GPElement) -> GPElement | None:
-    """The unique b with a = b*c, or None when c does not right-divide a.
+def _mirrored(expr: Sequence[ComponentElement]) -> tuple[ComponentElement, ...]:
+    """Reduced, not canonical, expression of the mirror image (a*b goes to
+    mirror(b)*mirror(a)): the syllables and each free letter tuple reversed."""
+    return tuple([ComponentElement(ce.vertex, ce.payload[::-1]) if isinstance(ce.payload, tuple)
+                  else ce for ce in reversed(expr)])
 
-    Peels c's syllables from the right off final components of a.  A peel
-    that consumes its component (an identity remainder, 0 or ()) keeps the
-    canonical rest as it is; only a remainder is multiplied back."""
-    _require_same(a, c)
-    cur = a
-    for ce in reversed(c.expr):
-        d, comp = final_component(cur, ce.vertex)
+
+def _peel(
+    gp: GraphProduct, expr: tuple[ComponentElement, ...], divisor: tuple[ComponentElement, ...]
+) -> tuple[ComponentElement, ...] | None:
+    """b with expr = b*divisor, or None, for reduced expressions: peels the
+    divisor's syllables off final components, each with one normal form of
+    the rest and a nonidentity remainder, so b is canonical after a peel."""
+    for ce in reversed(divisor):
+        d, rest = split_final(gp, expr, ce.vertex)
         if d is None:
             return None
         rem = comp_right_divide(d.payload, ce.payload)
         if rem is None:
             return None
-        cur = multiply(comp, component_embed(a.gp, ce.vertex, rem)) if rem else comp
-    return cur
+        expr = normal_form(gp, (rest + (ComponentElement(ce.vertex, rem),)) if rem else rest).expr
+    return expr
+
+
+def right_divide(a: GPElement, c: GPElement) -> GPElement | None:
+    """The unique b with a = b*c, or None when c does not right-divide a."""
+    _require_same(a, c)
+    b = _peel(a.gp, a.expr, c.expr)
+    return None if b is None else GPElement(a.gp, b)
 
 
 def left_divide(a: GPElement, c: GPElement) -> GPElement | None:
-    """The unique b with a = c*b, or None: right_divide's mirror image."""
+    """The unique b with a = c*b, or None: the right peel of the mirror
+    images, read back in canonical form by one more kernel pass."""
     _require_same(a, c)
-    cur = a
-    for ce in c.expr:
-        d, comp = initial_component(cur, ce.vertex)
-        if d is None:
-            return None
-        rem = comp_left_divide(d.payload, ce.payload)
-        if rem is None:
-            return None
-        cur = multiply(component_embed(a.gp, ce.vertex, rem), comp) if rem else comp
-    return cur
+    gp = a.gp
+    b = _peel(gp, _mirrored(a.expr), _mirrored(c.expr))
+    return None if b is None else GPElement(gp, shuffle_reduce(gp, _mirrored(b)))
 
 
 def _posneg(c: GPElement, d: GPElement) -> tuple[GPElement, GPElement] | None:
@@ -474,8 +460,8 @@ def _posneg(c: GPElement, d: GPElement) -> tuple[GPElement, GPElement] | None:
                 if res is None:
                     return None
                 sa, tc, _ = res
-                a = None if _is_identity_payload(sa) else ComponentElement(ce.vertex, sa)
-                if not _is_identity_payload(tc):
+                a = ComponentElement(ce.vertex, sa) if sa else None
+                if tc:
                     b.append(ComponentElement(ce.vertex, tc))
             else:
                 return None
@@ -524,15 +510,14 @@ def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPEle
     v = 0
     while v < len(wa):
         if not (wa[v] or wb[v]):
-            f = comp_hclf(pa[ha[v]].payload, pb[hb[v]].payload)
-            if not _is_identity_payload(f):
+            f, *rests = comp_hclf(pa[ha[v]].payload, pb[hb[v]].payload)
+            if f:
                 common.append(ComponentElement(pa[ha[v]].vertex, f))
-                for front, (piled, heads, _) in zip(fronts, states):
-                    rest = comp_left_divide(piled[heads[v]].payload, f)
-                    if _is_identity_payload(rest):
-                        front.send(v)
-                    else:
+                for front, (piled, heads, _), rest in zip(fronts, states, rests):
+                    if rest:
                         piled[heads[v]] = ComponentElement(piled[heads[v]].vertex, rest)
+                    else:
+                        front.send(v)
                 v = -1  # least vertex first again
         v += 1
     return (GPElement(gp, shuffle_reduce(gp, common)),

@@ -7,7 +7,7 @@ cannot reach.
 
 from collections.abc import Iterable
 
-from polygraph.gproduct import ComponentElement, _is_identity_payload
+from polygraph.gproduct import ComponentElement
 from polygraph.graph import GraphProduct
 
 
@@ -38,7 +38,7 @@ def shuffle_reduce_reference(
                     payload = comps[i].payload + comps[j].payload  # int or tuple
                     del comps[j]
                     changed = True
-                    if _is_identity_payload(payload):
+                    if not payload:  # 0 or (), the identity
                         del comps[i]
                         break
                     comps[i] = ComponentElement(v, payload)

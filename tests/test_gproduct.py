@@ -31,6 +31,8 @@ from polygraph.ihull import IHPair, max_above
 from conftest import graph_and_syllables, graph_and_words, graph_products, mono_graphs, word_element
 from reference import shuffle_reduce_reference
 
+MONO_OR_MIXED = st.one_of(mono_graphs(), graph_products())
+
 
 # ---------------------------------------------------------------------------
 # make_element / normal_form
@@ -80,6 +82,11 @@ def test_make_element_rejects_non_int_exponent(mixed, pair):
     ("zz x1^0", GraphError, "unknown letter 'zz'"),
     ("x1 x1^0 zz", ValueError, "exponent on 'x1' must be >= 1"),
     ([("x1", 1), ("zz", 2), ("x1", 0)], GraphError, "unknown letter 'zz'"),
+    # a token that is neither a string nor a (letter, k) pair is a syntax error
+    ([5], ValueError, "bad token 5"),
+    ([["x1"]], ValueError, "bad token ['x1']"),
+    ([("x1",)], ValueError, "bad token ('x1',)"),
+    (["zz", ("x1", 0), (5, 1)], ValueError, "bad token (5, 1)"),
 ])
 def test_make_element_error_order(p3, word, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -93,7 +100,7 @@ def _text_word(tokens):
 @st.composite
 def graph_and_tokens(draw):
     """A mono or mixed graph and up to 40 (letter, k) tokens, 1 <= k <= 3."""
-    gp = draw(st.one_of(mono_graphs(), graph_products()))
+    gp = draw(MONO_OR_MIXED)
     tokens = draw(st.lists(
         st.tuples(st.sampled_from(gp.all_letters()), st.integers(1, 3)), max_size=40,
     ))
@@ -123,6 +130,12 @@ def test_multiply_matches_normal_form(gt, cut):
 
 def test_make_element_mixes_tokens_and_pairs(p3):
     assert str(make_element(p3, ["x2", ("x1", 2), "x1^3", "1"])) == "x1^5 x2"
+
+
+@pytest.mark.parametrize("raw", [[("w",)], [5], [("w", 1, 2)]])
+def test_normal_form_rejects_non_pairs(mixed, raw):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad syllable {raw[0]!r}')}$"):
+        normal_form(mixed, raw)
 
 
 def test_normal_form_idempotent(p3):
@@ -268,6 +281,14 @@ def test_initial_component_examples(p3):
     assert comp.is_identity()
 
 
+def test_initial_component_free_payload(mixed):
+    # the split reads the syllables backwards, but the payload keeps its order
+    d, comp = initial_component(make_element(mixed, "p q w"), "u")
+    assert (d, comp) == (ComponentElement("u", ("p", "q")), make_element(mixed, "w"))
+    a = make_element(mixed, "w^2")
+    assert initial_component(a, "u") == (None, a)
+
+
 @given(graph_and_words(num_words=1, max_letters=5), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_final_component_shuffle_invariant(gw, rng):
@@ -293,6 +314,20 @@ def test_final_component_functorial(gw, k):
         d, comp = final_component(a, v)
         d2, comp2 = final_component(multiply(a, x), v)
         dx = x.expr[0].payload if d is None else d.payload + x.expr[0].payload
+        assert d2 == ComponentElement(v, dx)
+        assert comp2 == comp
+
+
+@given(graph_and_words(num_words=1, max_letters=4, graphs=MONO_OR_MIXED), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_initial_component_functorial(gw, k):
+    gp, w = gw
+    a = word_element(gp, w)
+    for v in gp.vertices:
+        x = component_embed(gp, v, k if gp.is_mono(v) else (gp.letters(v)[0],) * k)
+        d, comp = initial_component(a, v)
+        d2, comp2 = initial_component(multiply(x, a), v)
+        dx = x.expr[0].payload if d is None else x.expr[0].payload + d.payload
         assert d2 == ComponentElement(v, dx)
         assert comp2 == comp
 
@@ -352,6 +387,20 @@ def test_left_cancellation(gw):
     gp, w1, w2 = gw
     a, c = word_element(gp, w1), word_element(gp, w2)
     assert left_divide(multiply(c, a), c) == a
+
+
+@given(graph_and_words(num_words=2, max_letters=4, graphs=MONO_OR_MIXED))
+@settings(max_examples=60, deadline=None)
+def test_left_divide_matches_oracle(gw):
+    # every left divisor of a, and one element that mostly is not
+    gp, w1, w2 = gw
+    a = word_element(gp, w1)
+    divisors = oracle.all_left_divisors(a)
+    for c in divisors | {word_element(gp, w2)}:
+        b = left_divide(a, c)
+        assert (b is not None) == (c in divisors)
+        if b is not None:
+            assert multiply(c, b) == a
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +557,10 @@ def test_component_embed_invalid(p3, mixed):
     ("u", (["p"],), "letter ['p'] not in alphabet of 'u'"),
     ("u", ("p", 5), "letter 5 not in alphabet of 'u'"),
     (["u"], ("p",), "undeclared vertex ['u']"),
+    # an identity payload only of the vertex's own kind: 0 or ()
+    ("w", (), "monogenic payload for 'w' must be a positive int"),
+    ("u", 0, "free payload for 'u' must be a nonempty letter tuple"),
+    (["u"], (), "undeclared vertex ['u']"),
 ])
 def test_validation_rejects_malformed_components(mixed, vertex, payload, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

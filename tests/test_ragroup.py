@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from polygraph import oracle
 from polygraph.builtin import builtin
 from polygraph.gproduct import make_element
-from polygraph.ihull import IHPair, ZERO, format_pgword, ih_multiply
+from polygraph.ihull import IHPair, ZERO, eval_word, format_pgword, ih_multiply
 from polygraph.ragroup import eta, group_identity, group_reduce
 
 from conftest import graph_and_words, mono_graphs, word_element
@@ -64,6 +65,17 @@ def test_reduce_rejects_bad_sign(p3):
     for sign in (0, 2, True, 1.0):
         with pytest.raises(ValueError):
             group_reduce(p3, [("x1", sign)])
+
+
+@pytest.mark.parametrize("read", [eval_word, group_reduce])
+@pytest.mark.parametrize("word, message", [
+    ([5], "bad signed token 5"),
+    ([["x1"]], "bad signed token ['x1']"),
+    ([("x1",)], "bad signed token ('x1',)"),
+])
+def test_signed_readers_reject_malformed_tokens(p3, read, word, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(p3, word)
 
 
 def test_reduce_requires_mono(mixed):
