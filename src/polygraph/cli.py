@@ -3,7 +3,8 @@
 All algebra commands need a graph file (``-g``); output is deterministic for
 fixed inputs.  Domain failures (no quotient, no common multiple, zero input)
 print "none"/"0" and exit 1 so shell pipelines can branch; usage and parse
-errors, and inputs too deep for the interpreter's recursion limit, exit 2.
+errors, inputs too deep for the interpreter's recursion limit, exhausted
+memory and broken internal invariants (RuntimeError) exit 2 with an error line.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"argument --{option.replace('_', '-')}: must be at least {least}")
     try:
         return _run(args)
-    except (GraphError, ValueError, OSError, RecursionError, MemoryError) as exc:
+    # GraphError is a ValueError; RecursionError and oracle.BoundExceeded are RuntimeErrors
+    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
         detail = str(exc) or exc.__class__.__name__  # a MemoryError often has no message
         if args.format == "json":
             _print_json({"result": None, "status": "error", "detail": detail})

@@ -188,7 +188,7 @@ def eval_word(gp: GraphProduct, word: str | Iterable[SignedToken]) -> IHElement:
     one = identity(gp)
     acc: IHElement = ih_identity(gp)
     letter_vertex, kinds = gp.letter_vertex, gp._kinds
-    for letter, exp in _runs(word, letter_vertex):
+    for letter, exp in list(_runs(word, letter_vertex)):  # syntax errors before any other
         v, k = letter_vertex.get(letter) or gp.vertex_of_letter(letter), abs(exp)
         g = GPElement(gp, (ComponentElement(v, k if kinds[v] is None else (letter,) * k),))
         acc = ih_multiply(acc, IHPair(one, g) if exp > 0 else IHPair(g, one))

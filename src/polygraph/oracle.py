@@ -2,8 +2,9 @@
 
 Everything here is definitionally correct by exhaustive construction and
 deliberately slow; the fast algebraic paths are validated against these on
-small instances.  All enumeration is bounded and raises BoundExceeded rather
-than silently truncating.
+small instances.  Divisibility is judged by divisor sets and truncated left
+ideals, never by the division functions under test.  All enumeration is
+bounded and raises BoundExceeded rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .gproduct import (
-    ComponentElement,
-    GPElement,
-    make_element,
-    multiply,
-    right_divide,
-    left_divide,
-)
+from .gproduct import GPElement, make_element, multiply
 from .graph import GraphProduct
 
 DEFAULT_MAX_CLASS = 200_000
@@ -26,47 +20,6 @@ DEFAULT_MAX_CLASS = 200_000
 
 class BoundExceeded(RuntimeError):
     """An enumeration outgrew its configured size bound."""
-
-
-def is_reduced(gp: GraphProduct, expr: Sequence[ComponentElement]) -> bool:
-    """No two same-vertex entries separated only by adjacent vertices."""
-    for i in range(len(expr)):
-        for j in range(i + 1, len(expr)):
-            if expr[j].vertex != expr[i].vertex:
-                continue
-            if all(gp.adjacent(expr[k].vertex, expr[i].vertex) for k in range(i + 1, j)):
-                return False
-            break
-    return True
-
-
-def _swap_closure(start: tuple, commute, max_size: int, what: str) -> frozenset:
-    """Closure of a sequence under swaps of neighbouring entries that commute."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for i in range(len(w) - 1):
-            if commute(w[i], w[i + 1]):
-                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if nxt not in seen:
-                    if len(seen) >= max_size:
-                        raise BoundExceeded(f"{what} class larger than {max_size}")
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
-
-
-def shuffle_class(
-    gp: GraphProduct,
-    expr: Sequence[ComponentElement],
-    max_size: int = DEFAULT_MAX_CLASS,
-) -> frozenset[tuple[ComponentElement, ...]]:
-    """Closure of a reduced expression under single shuffles."""
-    start = tuple(expr)
-    if not is_reduced(gp, start):
-        raise ValueError("expression is not reduced")
-    return _swap_closure(start, lambda x, y: gp.adjacent(x.vertex, y.vertex), max_size, "shuffle")
 
 
 def element_letters(a: GPElement) -> tuple[str, ...]:
@@ -91,9 +44,20 @@ def letter_shuffle_class(
     exactly equality in the graph product.
     """
     vertex = gp.vertex_of_letter
-    return _swap_closure(
-        tuple(letters), lambda x, y: gp.adjacent(vertex(x), vertex(y)), max_size, "letter"
-    )
+    start = tuple(letters)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for i in range(len(w) - 1):
+            if gp.adjacent(vertex(w[i]), vertex(w[i + 1])):
+                nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if nxt not in seen:
+                    if len(seen) >= max_size:
+                        raise BoundExceeded(f"letter class larger than {max_size}")
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return frozenset(seen)
 
 
 def words_equal(gp: GraphProduct, w1: Sequence[str], w2: Sequence[str]) -> bool:
@@ -139,28 +103,27 @@ def elements_up_to(gp: GraphProduct, max_letters: int) -> list[GPElement]:
     return order
 
 
+def left_ideal(c: GPElement, bound: int) -> frozenset[GPElement]:
+    """The principal left ideal S*c cut at letter length bound.
+
+    The only relations are commutations, so letter length is additive and
+    t*c ranges over it as t ranges over the elements of at most
+    bound - |c| letters; empty when that room is negative.
+    """
+    return frozenset(multiply(t, c) for t in elements_up_to(c.gp, bound - c.letter_length()))
+
+
 def common_left_multiples(
     b: GPElement, c: GPElement, bound: int
 ) -> list[GPElement]:
     """All m with letter length <= bound divisible on the right by b and c.
 
     Multiples of b are enumerated as s*b over all cofactor words s, then
-    filtered by right-divisibility by c.
+    filtered by membership in the truncated left ideal of c.
     """
-    gp = b.gp
-    room = bound - b.letter_length()
-    out: list[GPElement] = []
-    seen: set[tuple] = set()
-    if room < 0:
-        return out
-    for s in elements_up_to(gp, room):
-        m = multiply(s, b)
-        if m.expr in seen:
-            continue
-        seen.add(m.expr)
-        if right_divide(m, c) is not None:
-            out.append(m)
-    return out
+    ideal = left_ideal(c, bound)
+    multiples = (multiply(s, b) for s in elements_up_to(b.gp, bound - b.letter_length()))
+    return [m for m in dict.fromkeys(multiples) if m in ideal]
 
 
 def lclm_oracle(b: GPElement, c: GPElement, bound: int) -> Optional[GPElement]:
@@ -173,9 +136,8 @@ def lclm_oracle(b: GPElement, c: GPElement, bound: int) -> Optional[GPElement]:
     if not candidates:
         return None
     best = min(candidates, key=lambda m: m.letter_length())
-    for m in candidates:
-        if right_divide(m, best) is None:
-            raise RuntimeError("common left multiples are not principal")
+    if not left_ideal(best, bound) >= set(candidates):
+        raise RuntimeError("common left multiples are not principal")
     return best
 
 
@@ -185,7 +147,6 @@ def hclf_oracle(
     """Join of all common left factors, by exhaustive divisor intersection."""
     common = all_left_divisors(a, max_size) & all_left_divisors(b, max_size)
     best = max(common, key=lambda x: x.letter_length())
-    for x in common:
-        if left_divide(best, x) is None:
-            raise RuntimeError("common left factors have no maximum")
+    if not all_left_divisors(best, max_size) >= common:
+        raise RuntimeError("common left factors have no maximum")
     return best

@@ -153,6 +153,17 @@ def test_recursion_error_exit_2(capsys, monkeypatch, p3_file):
     assert json.loads(out)["status"] == "error"
 
 
+def test_broken_invariant_exit_2(capsys, monkeypatch, p3_file):
+    # a wrong pair from the reduction trips lclm's invariant check
+    monkeypatch.setattr(gproduct, "_posneg", lambda c, d: (gproduct.identity(c.gp), c))
+    code, out, err = run(capsys, "-g", p3_file, "lclm", "x1", "x2")
+    assert (code, out) == (2, "")
+    assert err == "error: lclm invariant broken: 1 * x1 != x1 * x2\n"
+    code, out, _ = run(capsys, "--format", "json", "-g", p3_file, "lclm", "x1", "x2")
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+
+
 def test_memory_error_exit_2(capsys, monkeypatch, p3_file):
     # raised by a stand-in: a real out-of-memory state would starve other processes
     def out_of_memory(gp, word):

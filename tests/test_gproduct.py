@@ -403,6 +403,20 @@ def test_left_divide_matches_oracle(gw):
             assert multiply(c, b) == a
 
 
+@given(graph_and_words(num_words=2, max_letters=4, graphs=MONO_OR_MIXED))
+@settings(max_examples=60, deadline=None)
+def test_right_divide_matches_oracle(gw):
+    # w2's element and every element of at most 2 letters: many of them do
+    # not divide a, which judges the no-quotient branch as well
+    gp, w1, w2 = gw
+    a = word_element(gp, w1)
+    for c in [word_element(gp, w2)] + oracle.elements_up_to(gp, 2):
+        b = right_divide(a, c)
+        assert (b is not None) == (a in oracle.left_ideal(c, a.letter_length()))
+        if b is not None:
+            assert multiply(b, c) == a
+
+
 # ---------------------------------------------------------------------------
 # lclm
 

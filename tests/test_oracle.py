@@ -2,37 +2,16 @@ import pytest
 
 from polygraph import oracle
 from polygraph.builtin import builtin
-from polygraph.gproduct import ComponentElement, identity, make_element
+from polygraph.gproduct import identity, make_element
 
 from conftest import word_element
-
-
-def test_shuffle_class_examples(p3):
-    e = make_element(p3, "x1 x2")
-    cls = oracle.shuffle_class(p3, e.expr)
-    assert cls == {
-        (ComponentElement("x1", 1), ComponentElement("x2", 1)),
-        (ComponentElement("x2", 1), ComponentElement("x1", 1)),
-    }
-
-    e = make_element(p3, "x3 x1")
-    assert oracle.shuffle_class(p3, e.expr) == {e.expr}
-
-    assert oracle.shuffle_class(p3, ()) == {()}
-
-
-def test_shuffle_class_rejects_unreduced(p3):
-    raw = (ComponentElement("x1", 1), ComponentElement("x1", 1))
-    with pytest.raises(ValueError):
-        oracle.shuffle_class(p3, raw)
 
 
 def test_bound_exceeded():
     # complete graph on 3 vertices: class of x1 x2 x3 has 6 members
     k3 = builtin("k3")
-    e = make_element(k3, "x1 x2 x3")
     with pytest.raises(oracle.BoundExceeded):
-        oracle.shuffle_class(k3, e.expr, max_size=3)
+        oracle.letter_shuffle_class(k3, ("x1", "x2", "x3"), max_size=3)
 
 
 def test_all_left_divisors_examples(p3):

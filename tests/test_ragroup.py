@@ -72,6 +72,7 @@ def test_reduce_rejects_bad_sign(p3):
     ([5], "bad signed token 5"),
     ([["x1"]], "bad signed token ['x1']"),
     ([("x1",)], "bad signed token ('x1',)"),
+    ("zz x1 x1^^2", "bad signed token 'x1^^2'"),  # syntax before unknown letters
 ])
 def test_signed_readers_reject_malformed_tokens(p3, read, word, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
