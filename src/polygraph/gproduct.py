@@ -117,7 +117,8 @@ class GPElement(Value):
         return (self.gp, self.expr) == (other.gp, other.expr)
 
     def __hash__(self) -> int:
-        return hash((self.gp, self.expr))
+        # __eq__ compares gp as well; hashing it would rehash the whole graph
+        return hash(self.expr)
 
     @property
     def length(self) -> int:

@@ -10,12 +10,12 @@ bounded and raises BoundExceeded rather than silently truncating.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gproduct import GPElement, make_element, multiply
 from .graph import GraphProduct
 
-DEFAULT_MAX_CLASS = 200_000
+MAX_CLASS = 200_000  # size bound of every letter class; read at call time
 
 
 class BoundExceeded(RuntimeError):
@@ -34,9 +34,7 @@ def element_letters(a: GPElement) -> tuple[str, ...]:
 
 
 def letter_shuffle_class(
-    gp: GraphProduct,
-    letters: Sequence[str],
-    max_size: int = DEFAULT_MAX_CLASS,
+    gp: GraphProduct, letters: Sequence[str]
 ) -> frozenset[tuple[str, ...]]:
     """Closure of a letter word under swaps of adjacent-vertex letters.
 
@@ -53,100 +51,78 @@ def letter_shuffle_class(
             if gp.adjacent(vertex(w[i]), vertex(w[i + 1])):
                 nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
                 if nxt not in seen:
-                    if len(seen) >= max_size:
-                        raise BoundExceeded(f"letter class larger than {max_size}")
+                    if len(seen) >= MAX_CLASS:
+                        raise BoundExceeded(f"letter class larger than {MAX_CLASS}")
                     seen.add(nxt)
                     queue.append(nxt)
     return frozenset(seen)
 
 
-def words_equal(gp: GraphProduct, w1: Sequence[str], w2: Sequence[str]) -> bool:
-    """Letter-level equality by closure membership."""
-    if len(w1) != len(w2):
-        return False
-    return tuple(w2) in letter_shuffle_class(gp, w1)
-
-
-def all_left_divisors(
-    a: GPElement, max_size: int = DEFAULT_MAX_CLASS
-) -> frozenset[GPElement]:
+def all_left_divisors(a: GPElement) -> frozenset[GPElement]:
     """Every x with a = x*y, by exhaustive prefix extraction over the
     letter-level shuffle class."""
     gp = a.gp
     divisors: set[GPElement] = set()
-    for w in letter_shuffle_class(gp, element_letters(a), max_size):
+    for w in letter_shuffle_class(gp, element_letters(a)):
         for k in range(len(w) + 1):
             divisors.add(make_element(gp, [(l, 1) for l in w[:k]]))
     return frozenset(divisors)
 
 
-def _words_of_length(letters: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for w in _words_of_length(letters, n - 1):
-        for l in letters:
-            yield w + (l,)
+def _walk(
+    start: GPElement, step: Callable[[GPElement, GPElement], GPElement], depth: int
+) -> list[GPElement]:
+    """The distinct elements that step(x, g) reaches from start in at most
+    depth steps, breadth first, g over the one-letter elements in declaration
+    order; empty when depth is negative.
 
-
-def elements_up_to(gp: GraphProduct, max_letters: int) -> list[GPElement]:
-    """All distinct elements representable by words of at most the given
-    letter length, deterministically ordered."""
-    seen: dict[tuple, GPElement] = {}
-    order: list[GPElement] = []
-    for n in range(max_letters + 1):
-        for w in _words_of_length(gp.all_letters(), n):
-            e = make_element(gp, [(l, 1) for l in w])
-            if e.expr not in seen:
-                seen[e.expr] = e
-                order.append(e)
+    Letter length is additive, so level k holds exactly the elements k
+    letters longer than start, and no two levels share an element.
+    """
+    if depth < 0:
+        return []
+    gp = start.gp
+    gens = [make_element(gp, [(l, 1)]) for l in gp.all_letters()]
+    order, level = [start], [start]
+    for _ in range(depth):
+        level = list(dict.fromkeys(step(x, g) for x in level for g in gens))
+        order += level
     return order
 
 
+def elements_up_to(gp: GraphProduct, max_letters: int) -> list[GPElement]:
+    """All distinct elements of at most the given letter length, shortest
+    first and then by least word (lexicographic in declaration order): the
+    walk reaches each element first through its least word, whose prefixes
+    are least words too."""
+    return _walk(make_element(gp, ()), multiply, max_letters)
+
+
 def left_ideal(c: GPElement, bound: int) -> frozenset[GPElement]:
-    """The principal left ideal S*c cut at letter length bound.
-
-    The only relations are commutations, so letter length is additive and
-    t*c ranges over it as t ranges over the elements of at most
-    bound - |c| letters; empty when that room is negative.
-    """
-    return frozenset(multiply(t, c) for t in elements_up_to(c.gp, bound - c.letter_length()))
-
-
-def common_left_multiples(
-    b: GPElement, c: GPElement, bound: int
-) -> list[GPElement]:
-    """All m with letter length <= bound divisible on the right by b and c.
-
-    Multiples of b are enumerated as s*b over all cofactor words s, then
-    filtered by membership in the truncated left ideal of c.
-    """
-    ideal = left_ideal(c, bound)
-    multiples = (multiply(s, b) for s in elements_up_to(b.gp, bound - b.letter_length()))
-    return [m for m in dict.fromkeys(multiples) if m in ideal]
+    """The principal left ideal S*c cut at letter length bound: the closure
+    of c under left multiplication by generators; empty when c is longer."""
+    return frozenset(_walk(c, lambda x, g: multiply(g, x), bound - c.letter_length()))
 
 
 def lclm_oracle(b: GPElement, c: GPElement, bound: int) -> Optional[GPElement]:
-    """Minimum common left multiple found by exhaustive search, or None.
+    """The shortest common left multiple of letter length <= bound, or None.
 
-    Raises if the candidate set has no single element dividing all others
-    (never expected for these components).
+    Raises if that multiple does not divide all the others (never expected
+    for these components: the intersection of S*b and S*c is principal).
     """
-    candidates = common_left_multiples(b, c, bound)
-    if not candidates:
+    common = left_ideal(b, bound) & left_ideal(c, bound)
+    if not common:
         return None
-    best = min(candidates, key=lambda m: m.letter_length())
-    if not left_ideal(best, bound) >= set(candidates):
+    best = min(common, key=GPElement.letter_length)
+    if not left_ideal(best, bound) >= common:
         raise RuntimeError("common left multiples are not principal")
     return best
 
 
-def hclf_oracle(
-    a: GPElement, b: GPElement, max_size: int = DEFAULT_MAX_CLASS
-) -> GPElement:
+def hclf_oracle(a: GPElement, b: GPElement) -> GPElement:
     """Join of all common left factors, by exhaustive divisor intersection."""
-    common = all_left_divisors(a, max_size) & all_left_divisors(b, max_size)
+    common = all_left_divisors(a) & all_left_divisors(b)
     best = max(common, key=lambda x: x.letter_length())
-    if not all_left_divisors(best, max_size) >= common:
+    if not all_left_divisors(best) >= common:
         raise RuntimeError("common left factors have no maximum")
     return best

@@ -1,17 +1,20 @@
+import itertools
+
 import pytest
 
 from polygraph import oracle
-from polygraph.builtin import builtin
+from polygraph.builtin import all_mono_graphs, builtin
 from polygraph.gproduct import identity, make_element
 
-from conftest import word_element
+from conftest import BUILTIN_NAMES, word_element
 
 
-def test_bound_exceeded():
+def test_bound_exceeded(monkeypatch):
     # complete graph on 3 vertices: class of x1 x2 x3 has 6 members
     k3 = builtin("k3")
+    monkeypatch.setattr(oracle, "MAX_CLASS", 3)
     with pytest.raises(oracle.BoundExceeded):
-        oracle.letter_shuffle_class(k3, ("x1", "x2", "x3"), max_size=3)
+        oracle.letter_shuffle_class(k3, ("x1", "x2", "x3"))
 
 
 def test_all_left_divisors_examples(p3):
@@ -42,10 +45,20 @@ def test_elements_up_to_deterministic(p3):
     assert len(a) == len({e.expr for e in a})
 
 
-def test_words_equal(p3):
-    assert oracle.words_equal(p3, ("x2", "x1"), ("x1", "x2"))
-    assert not oracle.words_equal(p3, ("x3", "x1"), ("x1", "x3"))
-    assert not oracle.words_equal(p3, ("x1",), ("x1", "x1"))
+@pytest.mark.parametrize("gp", [builtin(name) for name in BUILTIN_NAMES] + all_mono_graphs(3))
+def test_elements_up_to_in_least_word_order(gp):
+    """Every element of at most 4 letters is listed once, in shortlex order of
+    its least word (letters ranked in declaration order)."""
+    rank = {l: i for i, l in enumerate(gp.all_letters())}
+    classes = [
+        oracle.letter_shuffle_class(gp, oracle.element_letters(e))
+        for e in oracle.elements_up_to(gp, 4)
+    ]
+    least = [min((len(w), tuple(rank[l] for l in w)) for w in cls) for cls in classes]
+    assert all(u < v for u, v in zip(least, least[1:]))
+    words = (w for n in range(5) for w in itertools.product(gp.all_letters(), repeat=n))
+    everything = {oracle.letter_shuffle_class(gp, w) for w in words}
+    assert len(classes) == len(everything) and set(classes) == everything
 
 
 def test_hclf_oracle(p3):
