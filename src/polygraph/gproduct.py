@@ -100,8 +100,9 @@ class GPElement(Value):
     The constructor checks nothing: ``expr`` must already be canonical.  The
     entry points that validate their input are ``make_element``,
     ``normal_form``, ``component_embed`` and the word readers ``eval_word``
-    and ``parse_ihelement``; every operation on elements, ``multiply``
-    included, trusts its factors."""
+    and ``parse_ihelement``.  Operations on elements trust their arguments,
+    but ``final_component``, ``initial_component`` and ``_peel`` (divisions)
+    pass the rest of an element through the validating ``normal_form``."""
 
     __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
@@ -209,55 +210,19 @@ def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
                 raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
 
 
-def _front(gp: GraphProduct, piled: list, stacks: list[list[int]]) -> Generator:
-    """Read-off coroutine of piled syllables and per-vertex stacks of live
-    positions.  Priming returns (piled, heads, waiting): v's head is its first
-    live position (``end`` once none is left), and ``waiting[v]`` counts the
-    non-adjacent vertices whose head precedes it (|V| once v has none left).
-    ``send(v)`` drops and returns the head of a v with ``waiting[v] == 0``,
-    an initial component, updating only v's and its non-adjacent vertices'
-    counts; ``next`` drops the least such v's, so the rest reads off in
-    least-vertex-first order.  Collect it with ``tuple(list(...))``: a tuple
-    grown from an iterator is resized and unbalances CPython's free lists."""
-    blockers, queues = gp.non_neighbours, [iter(stack) for stack in stacks]
-    end, empty = len(piled), len(stacks)
-    heads = [next(queue, end) for queue in queues]
-    waiting = [len([u for u in blockers[v] if heads[u] < h]) if h < end else empty
-               for v, h in enumerate(heads)]
-    v = yield piled, heads, waiting
-    while True:
-        if v is None:
-            try:
-                v = waiting.index(0)
-            except ValueError:  # no vertex is available: nothing remains
-                return
-        ce = piled[heads[v]]
-        h = heads[v] = next(queues[v], end)
-        count = 0
-        for u in blockers[v]:
-            if heads[u] < h:  # u's head now precedes v's
-                waiting[u] -= 1
-                count += 1
-        waiting[v] = count if h < end else empty
-        v = yield ce
-
-
-def shuffle_reduce(
-    gp: GraphProduct, syllables: Iterable[ComponentElement]
-) -> tuple[ComponentElement, ...]:
-    """Canonical reduced expression of already-validated syllables.
-
-    Piles the syllables as a heap of pieces, one stack of live positions per
-    vertex.  An incoming syllable amalgamates with the top of its vertex's
-    stack when no live syllable of a non-adjacent vertex lies above it; an
-    amalgam with identity payload (only signed group exponents give one) is
-    dropped, which never makes two remaining syllables mergeable.  Otherwise
-    the syllable is pushed.  Free letter pieces are joined once, after piling.
-    ``_front`` then reads off the least-vertex-first form.  O(n |V|) in all.
-    """
-    syllables = tuple(syllables)
-    if len(syllables) < 2:  # nothing to amalgamate or order
-        return syllables
+def _pile(gp: GraphProduct, syllables: Iterable[ComponentElement]) -> Generator:
+    """Heap of pieces of validated syllables (a stack of live positions per
+    vertex) and its read-off.  A syllable joins its vertex's top unless a live
+    syllable of a non-adjacent vertex lies above it; an identity amalgam (of
+    signed exponents) is dropped and never makes two others mergeable.  Free
+    letter pieces join once, after piling; a reduced expression never joins.
+    Priming returns (piled, heads, waiting): v's head is its first live
+    position (``end`` once none is left), ``waiting[v]`` counts the
+    non-adjacent vertices whose head precedes it (|V| once v has none).
+    ``send(v)`` drops and returns a v head with ``waiting[v] == 0``, an
+    initial component; ``next`` drops the least such v's, so the rest reads
+    off least vertex first, O(n |V|) in all.  Collect with
+    ``tuple(list(...))``: ``tuple(...)`` resizes and unbalances free lists."""
     indices, blockers = gp.indices, gp.non_neighbours
     piled: list[ComponentElement] = []
     stacks: list[list[int]] = [[] for _ in blockers]
@@ -284,9 +249,44 @@ def shuffle_reduce(
         piled.append(ce)
     for pos, run in pieces.items():
         piled[pos] = ComponentElement(piled[pos].vertex, tuple(list(chain.from_iterable(run))))
-    front = _front(gp, piled, stacks)
-    next(front)
-    return tuple(list(front))
+    queues = [iter(stack) for stack in stacks]
+    end, empty = len(piled), len(stacks)
+    heads = [next(queue, end) for queue in queues]
+    waiting = []
+    for v, h in enumerate(heads):
+        count = 0
+        for u in blockers[v]:
+            if heads[u] < h:
+                count += 1
+        waiting.append(count if h < end else empty)
+    v = yield piled, heads, waiting
+    while True:
+        if v is None:
+            try:
+                v = waiting.index(0)
+            except ValueError:  # no vertex is available: nothing remains
+                return
+        ce = piled[heads[v]]
+        h = heads[v] = next(queues[v], end)
+        count = 0
+        for u in blockers[v]:
+            if heads[u] < h:  # u's head now precedes v's
+                waiting[u] -= 1
+                count += 1
+        waiting[v] = count if h < end else empty
+        v = yield ce
+
+
+def shuffle_reduce(
+    gp: GraphProduct, syllables: Iterable[ComponentElement]
+) -> tuple[ComponentElement, ...]:
+    """Canonical reduced expression of validated syllables, read off their ``_pile``."""
+    syllables = tuple(syllables)
+    if len(syllables) < 2:  # nothing to amalgamate or order
+        return syllables
+    pile = _pile(gp, syllables)
+    next(pile)
+    return tuple(list(pile))
 
 
 def _syllable(pair: object) -> ComponentElement:
@@ -500,12 +500,7 @@ def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPEle
     gp = a.gp
     if not (a.expr and b.expr):
         return identity(gp), a, b
-    indices, fronts = gp.indices, []
-    for expr in (a.expr, b.expr):  # reduced already: nothing to pile
-        stacks: list[list[int]] = [[] for _ in gp.vertices]
-        for pos, ce in enumerate(expr):
-            stacks[indices[ce.vertex]].append(pos)
-        fronts.append(_front(gp, list(expr), stacks))
+    fronts = [_pile(gp, a.expr), _pile(gp, b.expr)]
     (pa, ha, wa), (pb, hb, wb) = states = [next(front) for front in fronts]
     common: list[ComponentElement] = []
     v = 0

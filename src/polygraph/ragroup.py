@@ -42,6 +42,10 @@ class GroupWord(Value):
     def inverse(self) -> "GroupWord":
         return GroupWord(self.gp, shuffle_reduce(self.gp, _inverted(self.expr)))
 
+    def __hash__(self) -> int:
+        # Value.__eq__ compares gp as well; hashing it would rehash the whole graph
+        return hash(self.expr)
+
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.gp != other.gp:
             raise ValueError("words belong to different graphs")

@@ -6,6 +6,7 @@ import pytest
 from polygraph.builtin import builtin
 from polygraph.checks import CheckResult
 from polygraph.gproduct import ComponentElement, make_element
+from polygraph.graph import GraphProduct
 from polygraph.ihull import IHPair, Relation, RelationReport, check_relations, generate_presentation
 from polygraph.ragroup import GroupWord, group_reduce
 
@@ -39,6 +40,21 @@ def test_value_semantics(name):
             delattr(x, field)
     assert pickle.loads(pickle.dumps(x)) == x
     assert copy.deepcopy(x) == x
+
+
+def test_element_hashes_skip_the_graph(monkeypatch):
+    """Elements compare their graph but hash only their syllables, since
+    hashing a GraphProduct hashes every vertex and edge."""
+    gp = builtin("p3")
+    a = make_element(gp, "x2 x1")
+    values = (a, IHPair(a, a), group_reduce(gp, "x1 x2^-1"))
+
+    def refuse(self):
+        raise AssertionError("GraphProduct hashed")
+
+    monkeypatch.setattr(GraphProduct, "__hash__", refuse)
+    for x in values:
+        hash(x)
 
 
 def test_field_values_decide_equality():
