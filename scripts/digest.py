@@ -87,10 +87,8 @@ def render(x) -> str:
         return " | ".join(render(y) for y in x)
     if isinstance(x, IHPair):
         return f"[{render(x.a)} | {render(x.b)}]"
-    if isinstance(x, GPElement):
+    if isinstance(x, (GPElement, GroupWord)):
         return " ".join(f"{ce.vertex}:{ce.payload!r}" for ce in x.expr) or "1"
-    if isinstance(x, GroupWord):
-        return " ".join(f"{v}:{s}" for v, s in x.letters) or "1"
     return f"{x.vertex}:{x.payload!r}"  # ComponentElement
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from . import gproduct, ihull, oracle, ragroup
-from .builtin import BUILTIN_GRAPH_TEXTS, DEFAULT_SEED, builtin, all_mono_graphs
+from .builtin import BUILTIN_GRAPH_TEXTS, builtin, all_mono_graphs
 from .gproduct import GPElement, make_element, multiply, right_divide
 from .graph import GraphProduct, Value
 
@@ -155,5 +155,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED, max_len: int = 4, max_vertices: int = 3) -> list[CheckResult]:
+def run_all(seed: int, max_len: int, max_vertices: int) -> list[CheckResult]:
     return [fn(seed, max_len, max_vertices) for fn in ALL_CHECKS]

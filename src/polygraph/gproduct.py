@@ -101,8 +101,8 @@ class GPElement(Value):
     entry points that validate their input are ``make_element``,
     ``normal_form``, ``component_embed`` and the word readers ``eval_word``
     and ``parse_ihelement``.  Operations on elements trust their arguments,
-    but ``final_component``, ``initial_component`` and ``_peel`` (divisions)
-    pass the rest of an element through the validating ``normal_form``."""
+    but ``_peel`` (divisions) passes the rest of an element through the
+    validating ``normal_form``."""
 
     __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
@@ -194,22 +194,6 @@ def comp_hclf(x: Payload, y: Payload) -> tuple[Payload, Payload, Payload]:
 # ---------------------------------------------------------------------------
 # normal form
 
-def _validate_component(gp: GraphProduct, ce: ComponentElement) -> None:
-    v, p = ce.vertex, ce.payload
-    if not isinstance(v, str):
-        raise GraphError(f"undeclared vertex {v!r}")
-    if gp.is_mono(v):  # GraphError on an undeclared vertex
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"monogenic payload for {v!r} must be a positive int")
-    else:
-        if not isinstance(p, tuple) or not p:
-            raise ValueError(f"free payload for {v!r} must be a nonempty letter tuple")
-        letter_vertex = gp.letter_vertex
-        for a in p:
-            if not isinstance(a, str) or letter_vertex.get(a) != v:
-                raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
-
-
 def _pile(gp: GraphProduct, syllables: Iterable[ComponentElement]) -> Generator:
     """Heap of pieces of validated syllables (a stack of live positions per
     vertex) and its read-off.  A syllable joins its vertex's top unless a live
@@ -299,8 +283,20 @@ def _syllable(pair: object) -> ComponentElement:
 def normal_form(gp: GraphProduct, raw: Iterable[ComponentElement]) -> GPElement:
     """Canonical form of an arbitrary sequence of syllables or pairs."""
     comps = [ce if isinstance(ce, ComponentElement) else _syllable(ce) for ce in raw]
+    letter_vertex = gp.letter_vertex
     for ce in comps:
-        _validate_component(gp, ce)
+        v, p = ce.vertex, ce.payload
+        if not isinstance(v, str):
+            raise GraphError(f"undeclared vertex {v!r}")
+        if gp.is_mono(v):  # GraphError on an undeclared vertex
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+                raise ValueError(f"monogenic payload for {v!r} must be a positive int")
+        elif not isinstance(p, tuple) or not p:
+            raise ValueError(f"free payload for {v!r} must be a nonempty letter tuple")
+        else:
+            for a in p:
+                if not isinstance(a, str) or letter_vertex.get(a) != v:
+                    raise ValueError(f"letter {a!r} not in alphabet of {v!r}")
     return GPElement(gp, shuffle_reduce(gp, comps))
 
 
@@ -332,9 +328,7 @@ def component_embed(gp: GraphProduct, v: str, payload: Payload) -> GPElement:
     if isinstance(v, str) and type(payload) in (int, tuple):
         if payload == (0 if gp.is_mono(v) else ()):  # GraphError on an undeclared v
             return identity(gp)
-    ce = ComponentElement(v, payload)
-    _validate_component(gp, ce)
-    return GPElement(gp, (ce,))
+    return normal_form(gp, ((v, payload),))
 
 
 def _require_same(a: GPElement, b: GPElement) -> None:
@@ -372,20 +366,24 @@ def split_final(
 
 
 def final_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
-    """(d, a') with a = a'*d when d is nonidentity, a' = a when d is None."""
+    """(d, a') with a = a'*d when d is nonidentity, a' = a when d is None.
+    Every syllable after d is adjacent to v, so d blocks none of them and the
+    slice without it is canonical already."""
     d, rest = split_final(a.gp, a.expr, v)
     if d is None:
         return None, a
-    return d, normal_form(a.gp, rest)
+    return d, GPElement(a.gp, rest)
 
 
 def initial_component(a: GPElement, v: str) -> tuple[ComponentElement | None, GPElement]:
     """(d, a') with a = d*a' when d is nonidentity, a' = a when d is None:
-    split_final of the reversed syllables, which never reads payloads."""
+    split_final of the reversed syllables, which never reads payloads.  The
+    rest may not be canonical (on p3, taking x3 off ``x2 x3 x1`` leaves
+    ``x2 x1``), so it is read back by one kernel pass."""
     d, rest = split_final(a.gp, a.expr[::-1], v)
     if d is None:
         return None, a
-    return d, normal_form(a.gp, rest[::-1])
+    return d, GPElement(a.gp, shuffle_reduce(a.gp, rest[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,6 @@ def green_H(s: IHElement, t: IHElement) -> bool:
 # ---------------------------------------------------------------------------
 # signed words
 
-def _expand(runs: Iterable[tuple[str, int]]) -> tuple[SignedToken, ...]:
-    """One (letter, +1 or -1) token per letter of (letter, signed exponent)
-    runs."""
-    out: list[SignedToken] = []
-    for letter, exp in runs:
-        out.extend([(letter, 1 if exp > 0 else -1)] * abs(exp))
-    return tuple(out)
-
-
 def format_pgword(word: tuple[SignedToken, ...] | _Zero) -> str:
     if word is ZERO:
         return "0"

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 from .gproduct import ComponentElement, shuffle_reduce
 from .graph import GraphProduct, Value
-from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, _expand, _runs
+from .ihull import IHElement, IHPair, SignedToken, ZERO, _Zero, _runs
 
 
 class GroupWord(Value):
@@ -24,17 +24,11 @@ class GroupWord(Value):
 
     ``expr`` holds its syllables as the normal-form kernel returns them, one
     signed exponent per maximal run of a letter, the shape of
-    ``GPElement.expr``.  ``letters`` expands them to one (letter, +1 or -1)
-    token per letter; it is the only member whose cost grows with the
-    exponents."""
+    ``GPElement.expr``."""
 
     __slots__ = _fields = ("gp", "expr")
     gp: GraphProduct
     expr: tuple[ComponentElement, ...]
-
-    @property
-    def letters(self) -> tuple[SignedToken, ...]:
-        return _expand((ce.vertex, ce.payload) for ce in self.expr)
 
     def is_identity(self) -> bool:
         return not self.expr

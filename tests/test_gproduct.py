@@ -12,6 +12,7 @@ from polygraph.builtin import builtin, mono_graph
 from polygraph.graph import GraphError, parse_graph
 from polygraph.gproduct import (
     ComponentElement,
+    GPElement,
     component_embed,
     final_component,
     hclf,
@@ -309,6 +310,19 @@ def test_final_component_shuffle_invariant(gw, rng):
         d, rest = split_final(gp, other, v)
         assert d == expect[0]
         assert normal_form(gp, rest) == normal_form(gp, expect[1])
+
+
+@given(graph_and_words(num_words=1, max_letters=8))
+@settings(max_examples=80, deadline=None)
+def test_final_component_rest_is_canonical(gw):
+    # final_component slices the rest out of a's expression with no kernel pass
+    gp, w = gw
+    a = word_element(gp, w)
+    for v in gp.vertices:
+        d, rest = final_component(a, v)
+        if d is not None:
+            assert shuffle_reduce(gp, rest.expr) == rest.expr
+            assert multiply(rest, GPElement(gp, (d,))) == a
 
 
 @given(graph_and_words(num_words=1, max_letters=4), st.integers(1, 3))

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
+from polygraph.builtin import BUILTIN_GRAPH_TEXTS
 from polygraph.graph import GraphError, format_graph, parse_graph
 
 from conftest import graph_products
@@ -88,3 +91,9 @@ def test_edge_orientation_normalized():
     g1 = parse_graph("vertex a mono\nvertex b mono\nedge a b\n")
     g2 = parse_graph("vertex a mono\nvertex b mono\nedge b a\n")
     assert g1 == g2
+
+
+def test_bundled_graph_files_match_builtins():
+    # the golden CLI table reads graphs/*.graph, the check suites the dict
+    graphs = Path(__file__).resolve().parents[1] / "graphs"
+    assert {f.stem: f.read_text() for f in graphs.glob("*.graph")} == BUILTIN_GRAPH_TEXTS

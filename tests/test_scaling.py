@@ -1,0 +1,101 @@
+"""Kernel work per layer, by counts: every kernel pass and both piles of the
+``hclf`` strip go through ``gproduct._pile``, so the syllables it piles
+measure a layer's work without a clock.  Doubling the words may at most
+about double that work (a 2.5x allowance); the counts do not depend on the
+machine or the hash seed."""
+
+import random
+from functools import partial
+
+import pytest
+
+from polygraph import gproduct
+from polygraph.builtin import mono_graph
+from polygraph.gproduct import (
+    GPElement, final_component, hclf, initial_component, make_element, multiply,
+)
+from polygraph.ihull import IHPair, max_above
+from polygraph.ragroup import eta, group_reduce
+
+SIZES = (250, 500, 1000)  # letters per word
+
+
+@pytest.fixture
+def piled(monkeypatch):
+    """Counter of the syllables piled since the test started."""
+    count = [0]
+    pile = gproduct._pile
+
+    def counted(gp, syllables):
+        count[0] += len(syllables)
+        return pile(gp, syllables)
+
+    monkeypatch.setattr(gproduct, "_pile", counted)
+    return count
+
+
+def graph():
+    """Seeded 8-vertex monogenic graph at edge density 0.5."""
+    rng = random.Random(10)
+    pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    return mono_graph(8, [p for p in pairs if rng.random() < 0.5])
+
+
+def words(gp, n, seed, signed=False):
+    """Three seeded words of n letters."""
+    rng = random.Random(seed)
+    signs = ("", "^-1") if signed else ("",)
+    return [" ".join(rng.choice(gp.vertices) + rng.choice(signs) for _ in range(n))
+            for _ in range(3)]
+
+
+def elements(gp, n, seed):
+    return [make_element(gp, w) for w in words(gp, n, seed)]
+
+
+def common_pair(gp, n, seed):
+    """c*a and c*b: elements with a long highest common left factor."""
+    a, b, c = elements(gp, n, seed)
+    return multiply(c, a), multiply(c, b)
+
+
+# each builds its inputs uncounted and returns the counted call
+LAYERS = {
+    "make_element": lambda gp, n, seed: partial(make_element, gp, words(gp, n, seed)[0]),
+    "multiply": lambda gp, n, seed: partial(multiply, *elements(gp, n, seed)[:2]),
+    "hclf": lambda gp, n, seed: partial(hclf, *common_pair(gp, n, seed)),
+    "max_above": lambda gp, n, seed: partial(max_above, IHPair(*common_pair(gp, n, seed))),
+    "initial_component": lambda gp, n, seed: (
+        lambda a=elements(gp, n, seed)[0]: initial_component(a, a.expr[0].vertex)
+    ),
+    "group_reduce": lambda gp, n, seed: (
+        partial(group_reduce, gp, words(gp, n, seed, signed=True)[0])
+    ),
+    "eta": lambda gp, n, seed: partial(eta, IHPair(*elements(gp, n, seed)[:2])),
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_kernel_work_doubles_at_most(piled, layer):
+    gp = graph()
+    counts = []
+    for n in SIZES:
+        call = LAYERS[layer](gp, n, seed=n)
+        before = piled[0]
+        call()
+        counts.append(piled[0] - before)
+    assert counts[0] > 0, counts
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.5 * small, (layer, counts)
+
+
+def test_final_component_piles_nothing(piled):
+    # every syllable after the final component is adjacent to its vertex, so
+    # the rest is a slice of the canonical expression and needs no kernel pass
+    gp = graph()
+    for n in SIZES:
+        a = elements(gp, n, seed=n)[0]
+        before = piled[0]
+        d, rest = final_component(a, a.expr[-1].vertex)
+        assert piled[0] == before
+        assert multiply(rest, GPElement(gp, (d,))) == a
