@@ -22,6 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polygraph",
         description="graph products, inverse hulls, and polygraph monoid arithmetic",
+        fromfile_prefix_chars="@",
     )
     p.add_argument("-g", "--graph", metavar="FILE", help="graph description file")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -8,7 +8,7 @@ families plus the bundled mixed example.
 import itertools
 import random
 
-from polygraph import oracle
+from polygraph import checks, oracle
 from polygraph.builtin import all_mono_graphs, builtin, mono_graph
 from polygraph.gproduct import (
     ComponentElement,
@@ -17,32 +17,28 @@ from polygraph.gproduct import (
     identity,
     lclm,
     left_divide,
-    make_element,
     multiply,
-    right_divide,
+    normal_form,
     split_final,
 )
-from polygraph.ihull import (
-    IHPair,
-    ZERO,
-    check_relations,
-    eval_word,
-    ih_inverse,
-    ih_multiply,
-    is_idempotent,
-    max_above,
-    natural_le,
-)
-from polygraph.ragroup import eta
+from polygraph.graph import parse_graph
+from polygraph.ihull import IHPair, ZERO, eval_word, ih_multiply, max_above, natural_le
 
 from conftest import random_shuffle_walk
 
 SEED = 20240824
 
 
-def report(num, name, ok):
+def report(num, name, ok, why=""):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}")
-    assert ok, f"criterion {num} ({name}) failed"
+    assert ok, f"criterion {num} ({name}) failed{why}"
+
+
+def judge(num, name, result, detail):
+    """Report a property suite's verdict; its detail counts the cases it
+    judged, so it pins the criterion's family."""
+    report(num, name, result.passed, f": {result.detail}")
+    assert result.detail == detail
 
 
 def elements(gp, max_letters):
@@ -54,42 +50,8 @@ def elements(gp, max_letters):
 def test_criterion_1_normal_form():
     """Canonical-form equality equals shuffle-closure equivalence on all
     labeled 4-vertex graphs, words of <= 5 letters."""
-    letters = tuple(f"x{i}" for i in range(1, 5))
-    words = [()]
-    for _ in range(5):
-        words = [w + (l,) for w in words for l in letters] + [()]
-    words = list(dict.fromkeys(words))
-    index = {w: i for i, w in enumerate(words)}
-
-    ok = True
-    for gp in all_mono_graphs(4):
-        parent = list(range(len(words)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        vertex = gp.vertex_of_letter
-        for w, i in index.items():
-            for k in range(len(w) - 1):
-                if gp.adjacent(vertex(w[k]), vertex(w[k + 1])):
-                    nxt = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-                    ri, rj = find(i), find(index[nxt])
-                    if ri != rj:
-                        parent[ri] = rj
-
-        canon_of_root = {}
-        root_of_canon = {}
-        for w, i in index.items():
-            c = make_element(gp, [(l, 1) for l in w]).expr
-            r = find(i)
-            if canon_of_root.setdefault(r, c) != c:
-                ok = False
-            if root_of_canon.setdefault(c, r) != r:
-                ok = False
-    report(1, "normal-form vs shuffle closure", ok)
+    result = checks.check_normal_form(all_mono_graphs(4), 5)
+    judge(1, "normal-form vs shuffle closure", result, "537048 closure comparisons")
 
 
 def test_criterion_2_right_cancellation():
@@ -109,20 +71,9 @@ def test_criterion_2_right_cancellation():
             for j in range(i + 1, n + 1):
                 if rng.random() < 0.5:
                     lines.append(f"edge v{i} v{j}")
-        from polygraph.graph import parse_graph
-
         graphs.append(parse_graph("\n".join(lines) + "\n"))
-
-    ok = True
-    for _ in range(10_000):
-        gp = rng.choice(graphs)
-        letters = gp.all_letters()
-        a = make_element(gp, [(rng.choice(letters), 1) for _ in range(rng.randint(0, 5))])
-        c = make_element(gp, [(rng.choice(letters), 1) for _ in range(rng.randint(0, 5))])
-        if right_divide(multiply(a, c), c) != a:
-            ok = False
-            break
-    report(2, "right cancellation", ok)
+    result = checks.check_cancellation(rng, graphs, 10_000, 5)
+    judge(2, "right cancellation", result, "10000 random pairs")
 
 
 def test_criterion_3_final_component():
@@ -137,8 +88,6 @@ def test_criterion_3_final_component():
                 for _ in range(20):
                     other = random_shuffle_walk(gp, a.expr, rng)
                     d2, rest2 = split_final(gp, other, v)
-                    from polygraph.gproduct import normal_form
-
                     if d2 != d or normal_form(gp, rest2) != comp:
                         ok = False
                 # extension law: a*x has final component d*x, same complement
@@ -163,22 +112,8 @@ def test_criterion_4_lclm_vs_oracle():
         (mono_graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]), 2),
         (builtin("mixed"), 2),
     ]
-    ok = True
-    for gp, max_letters in cases:
-        elems = elements(gp, max_letters)
-        for b in elems:
-            for c in elems:
-                want = oracle.lclm_oracle(b, c, b.letter_length() + c.letter_length())
-                got = lclm(b, c)
-                if (got is None) != (want is None):
-                    ok = False
-                    continue
-                if got is None:
-                    continue
-                s, t, m = got
-                if not m == want == multiply(s, b) == multiply(t, c):
-                    ok = False
-    report(4, "lclm soundness and minimality", ok)
+    result = checks.check_lclm([elements(gp, k) for gp, k in cases])
+    judge(4, "lclm soundness and minimality", result, "9019 oracle comparisons")
 
 
 def test_criterion_5_bicyclic():
@@ -192,16 +127,12 @@ def test_criterion_5_bicyclic():
         j = max(n, p)
         return IHPair(emb(m + j - n), emb(q + j - p))
 
-    ok = True
-    # closed form against the exhaustive oracle on a small corner
+    # lclm against the exhaustive oracle on a small corner, and the closed
+    # form against lclm there
+    ok = checks.check_lclm([[emb(k) for k in range(5)]]).passed
     for m, n, p, q in itertools.product(range(5), repeat=4):
-        res = lclm(emb(n), emb(p))
-        want = oracle.lclm_oracle(emb(n), emb(p), n + p)
-        if res[2] != want:
-            ok = False
-        if closed_form(m, n, p, q) != IHPair(
-            multiply(res[0], emb(m)), multiply(res[1], emb(q))
-        ):
+        s, t, _ = lclm(emb(n), emb(p))
+        if closed_form(m, n, p, q) != IHPair(multiply(s, emb(m)), multiply(t, emb(q))):
             ok = False
     # full range against ih_multiply
     for m, n, p, q in itertools.product(range(11), repeat=4):
@@ -232,8 +163,7 @@ def test_criterion_7_presentation_relations():
     for n in range(1, 5):
         graphs.extend(all_mono_graphs(n))
     graphs.append(builtin("mixed"))
-    ok = all(check_relations(gp).ok for gp in graphs)
-    report(7, "presentation relations", ok)
+    judge(7, "presentation relations", checks.check_presentation(graphs), "1528 relations hold")
 
 
 def _p3_pairs(max_letters=3):
@@ -259,63 +189,16 @@ def test_criterion_8_fstar_inverse():
 
 def test_criterion_9_strong_estar_unitary():
     """eta is 0-restricted, idempotent-pure, and multiplicative."""
-    gp, elems, pairs = _p3_pairs()
-    ok = True
-    for s in pairs:
-        h = eta(s)
-        if h is ZERO:
-            ok = False
-        if h.is_identity() != is_idempotent(s):
-            ok = False
-    if eta(ZERO) is not ZERO:
-        ok = False
-    rng = random.Random(SEED)
-    checked = 0
-    while checked < 5000:
-        s, t = rng.choice(pairs), rng.choice(pairs)
-        st = ih_multiply(s, t)
-        if st is ZERO:
-            continue
-        if eta(st) != eta(s) * eta(t):
-            ok = False
-        checked += 1
-    report(9, "strong E*-unitarity witness", ok)
+    _, _, pairs = _p3_pairs()
+    result = checks.check_eta(random.Random(SEED), pairs, 5000)
+    judge(9, "strong E*-unitarity witness", result, "676 elements, 5000 products")
 
 
 def test_criterion_10_inverse_and_green():
     """Inverse-monoid axioms and Green characterizations, exhaustively."""
-    gp, elems, pairs = _p3_pairs()
-    ok = True
-    for s in pairs:
-        si = ih_inverse(s)
-        if ih_multiply(ih_multiply(s, si), s) != s:
-            ok = False
-        if (ih_multiply(s, s) == s) != (s.a == s.b):
-            ok = False
-    idems = [s for s in pairs if is_idempotent(s)]
-    for e in idems:
-        for f in idems:
-            if ih_multiply(e, f) != ih_multiply(f, e):
-                ok = False
-
-    # Green's relations via the domain/image idempotents, all pairs
-    dom_key = {s: ih_multiply(s, ih_inverse(s)) for s in pairs}
-    im_key = {s: ih_multiply(ih_inverse(s), s) for s in pairs}
-    for s in pairs:
-        for t in pairs:
-            if (s.a == t.a) != (dom_key[s] == dom_key[t]):
-                ok = False
-            if (s.b == t.b) != (im_key[s] == im_key[t]):
-                ok = False
-
-    # 0-bisimplicity witness u = (c, b) linking s = (a, b) and t = (c, d)
-    small = [s for s in pairs if s.a.letter_length() <= 2 and s.b.letter_length() <= 2]
-    for s in small[::3]:
-        for t in small[::3]:
-            u = IHPair(t.a, s.b)
-            if im_key[u] != im_key[s] or dom_key[u] != dom_key[t]:
-                ok = False
-    report(10, "inverse-monoid and Green structure", ok)
+    _, _, pairs = _p3_pairs()
+    result = checks.check_inverse_axioms(pairs)
+    judge(10, "inverse-monoid and Green structure", result, "676 elements")
 
 
 def test_criterion_11_embedded_hulls():

@@ -1,14 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from polygraph import cli, gproduct
-from polygraph.builtin import BUILTIN_GRAPH_TEXTS
+from polygraph import checks, cli, gproduct, ihull, ragroup
+from polygraph.builtin import BUILTIN_GRAPH_TEXTS, builtin
 from polygraph.cli import main
+from polygraph.gproduct import identity, make_element, multiply
 
 
 @pytest.fixture
@@ -203,6 +205,88 @@ def test_check_least_bounds_pass(capsys):
     code, out, _ = run(capsys, "check", "--max-len", "0", "--max-vertices", "1")
     assert code == 0
     assert "FAIL" not in out
+
+
+def non_least_lclm(b, c, lclm=gproduct.lclm):
+    """A common left multiple one generator above the least one."""
+    res = lclm(b, c)
+    x = make_element(b.gp, [(b.gp.all_letters()[0], 1)])
+    return None if res is None else tuple(multiply(x, e) for e in res)
+
+
+def with_false_relation(gp, present=ihull.generate_presentation):
+    """The presentation plus x x^-1 = 0, which no inverse hull satisfies."""
+    x = gp.all_letters()[0]
+    return present(gp) + (ihull.Relation(((x, 1), (x, -1)), ihull.ZERO),)
+
+
+# each suite, with the operation it judges (the name checks calls) made wrong
+PLANTED = {
+    "right-cancellation": (checks, "right_divide", lambda a, c: a),
+    "lclm": (gproduct, "lclm", non_least_lclm),
+    "hclf": (gproduct, "hclf", lambda a, b: identity(a.gp)),
+    "presentation": (ihull, "generate_presentation", with_false_relation),
+    "inverse-axioms": (ihull, "ih_inverse", lambda s: s),
+    "eta": (ragroup, "eta", lambda s, gp=None: (  # everything nonzero to the identity
+        s if s is ihull.ZERO else ragroup.group_identity(s.a.gp)
+    )),
+}
+
+
+@pytest.mark.parametrize("suite", PLANTED)
+def test_planted_fault_fails_its_suite(monkeypatch, suite):
+    monkeypatch.setattr(*PLANTED[suite])
+    passed = {r.name: r.passed for r in checks.run_all(1, 2, 2)}
+    assert passed[suite] is False
+    assert [name for name, ok in passed.items() if not ok] == [suite]
+
+
+@pytest.mark.parametrize("wrong, detail", [
+    # a form that depends on more than the shuffle class
+    (lambda word: word[:1], "('x1', 'x2') vs ('x2', 'x1') disagree"),
+    # one form for the two classes of x1 x3 and x3 x1
+    (sorted, "('x3', 'x1') and ('x1', 'x3') share a form"),
+])
+def test_planted_normal_form_fault(monkeypatch, wrong, detail):
+    monkeypatch.setattr(checks, "make_element", lambda gp, word: make_element(gp, wrong(word)))
+    result = checks.check_normal_form([builtin("p3")], 2)
+    assert (result.passed, result.detail) == (False, detail)
+
+
+def test_eta_to_zero_fails(monkeypatch):
+    # the union with criterion 9: no nonzero pair may map to zero
+    monkeypatch.setattr(ragroup, "eta", lambda s, gp=None: ihull.ZERO)
+    pairs = [ihull.IHPair(identity(builtin("p3")), identity(builtin("p3")))]
+    result = checks.check_eta(random.Random(1), pairs, 1)
+    assert (result.passed, result.detail) == (False, "purity fails at [1 | 1]")
+
+
+def test_check_planted_fault_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(gproduct, "lclm", non_least_lclm)
+    code, out, _ = run(capsys, "check", "--max-len", "2", "--max-vertices", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "FAIL lclm: minimum differs for 1, 1"
+    ]
+    code, out, _ = run(capsys, "--format", "json", "check", "--max-len", "2", "--max-vertices", "2")
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
+
+
+def test_argument_from_file(capsys, p3_file, tmp_path):
+    # one argv string is capped at 128 KiB on Linux; a file has no such cap
+    word = " ".join(["x1", "x3"] * 50_000)
+    (tmp_path / "word.txt").write_text(word + "\n")
+    code, out, _ = run(capsys, "-g", p3_file, "nf", f"@{tmp_path / 'word.txt'}")
+    assert (code, out) == (0, word + "\n")
+
+
+def test_missing_argument_file_exit_2(capsys, p3_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["-g", p3_file, "nf", f"@{tmp_path / 'missing'}"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "No such file" in err.splitlines()[-1]
 
 
 def test_import_is_lean():

@@ -1,11 +1,13 @@
 """Kernel work per layer, by counts: every kernel pass and both piles of the
 ``hclf`` strip go through ``gproduct._pile``, so the syllables it piles
-measure a layer's work without a clock.  Doubling the words may at most
-about double that work (a 2.5x allowance); the counts do not depend on the
-machine or the hash seed."""
+measure a layer's work without a clock.  Each layer's count is an exact
+function of its inputs, and doubling the words may at most about double it
+(a 2.5x allowance); the counts do not depend on the machine or the hash
+seed."""
 
 import random
 from functools import partial
+from itertools import groupby
 
 import pytest
 
@@ -75,15 +77,50 @@ LAYERS = {
 }
 
 
+def syllables(*elems):
+    return sum(len(e.expr) for e in elems)
+
+
+def strip_work(a, b):
+    """Both piles of the strip, plus the kernel pass that reads the hclf back
+    (shuffle_reduce piles nothing below 2 syllables)."""
+    h = syllables(hclf(a, b))
+    return syllables(a, b) + (h if h >= 2 else 0)
+
+
+# the syllables each layer piles, from its inputs; computed before the counted call
+WORK = {
+    "make_element": lambda gp, n, seed: len(words(gp, n, seed)[0].split()),  # one per token
+    "multiply": lambda gp, n, seed: syllables(*elements(gp, n, seed)[:2]),
+    "hclf": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
+    "max_above": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
+    "initial_component": lambda gp, n, seed: syllables(elements(gp, n, seed)[0]) - 1,
+    "group_reduce": lambda gp, n, seed: (  # one per signed run
+        len(list(groupby(words(gp, n, seed, signed=True)[0].split())))
+    ),
+    "eta": lambda gp, n, seed: syllables(*elements(gp, n, seed)[:2]),
+}
+
+
+def piled_by(piled, layer, gp, n):
+    call = LAYERS[layer](gp, n, seed=n)
+    before = piled[0]
+    call()
+    return piled[0] - before
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_kernel_work_is_exact(piled, layer):
+    gp = graph()
+    for n in SIZES:
+        want = WORK[layer](gp, n, seed=n)
+        assert piled_by(piled, layer, gp, n) == want, (layer, n)
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_kernel_work_doubles_at_most(piled, layer):
     gp = graph()
-    counts = []
-    for n in SIZES:
-        call = LAYERS[layer](gp, n, seed=n)
-        before = piled[0]
-        call()
-        counts.append(piled[0] - before)
+    counts = [piled_by(piled, layer, gp, n) for n in SIZES]
     assert counts[0] > 0, counts
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.5 * small, (layer, counts)
