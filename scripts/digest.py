@@ -7,10 +7,13 @@ make_element, multiply, both divisions (a quotient that exists and one that
 may not), final and initial components, lclm, hclf, ih_multiply, max_above,
 natural_le and eval_word, plus group_reduce, eta, and the inverse and
 product of group words on the all-monogenic graphs.  Last, each graph gets
-one right and one left division of a product of two 60-100 letter words.
-Every result is one case, rendered exactly (syllable by syllable, payload
-types included), and the script prints the number of cases and a sha256
-over them.
+one right and one left division of a product of two 60-100 letter words,
+then the lclm of x*w and y*w for a 60-100 letter w, once for two random
+letters x and y and once, where the graph has two, for letters whose
+vertices block each other, so that no common multiple exists.  Every
+result is one case, rendered exactly (syllable by syllable, payload types
+included), and the script prints the number of cases and a sha256 over
+them.
 
 Two trees give the same digest exactly when they give the same outputs, so
 a change that should not alter any result is checked by running this under
@@ -156,6 +159,16 @@ def cases(seed: int, num_graphs: int):
                 for _ in range(2))
         yield "right_divide-long", right_divide(multiply(a, c), c)
         yield "left_divide-long", left_divide(multiply(c, a), c)
+    for gp, letters in graphs:
+        vertex = gp.letter_vertex
+        blocking = [(x, y) for x in letters for y in letters if x != y and (
+            vertex[x] == vertex[y] or not gp.adjacent(vertex[x], vertex[y]))]
+        pairs = [("lclm-long", *rng.choices(letters, k=2))]
+        if blocking:
+            pairs.append(("lclm-long-blocked", *rng.choice(blocking)))
+        for name, x, y in pairs:
+            w = " ".join(rng.choices(letters, k=rng.randint(60, 100)))
+            yield name, lclm(make_element(gp, f"{x} {w}"), make_element(gp, f"{y} {w}"))
 
 
 def main() -> None:

@@ -433,43 +433,49 @@ def _posneg(c: GPElement, d: GPElement) -> tuple[GPElement, GPElement] | None:
     """Full positive/negative reduction: (s, t) with s*c = t*d the least
     common left multiple, or None when there is none.
 
-    Read as translation by c followed by inverse translation by d, rewritten
-    as inverse translation by s followed by translation by t.  Like subword
-    reversing, d is peeled one syllable at a time from the right, starting
-    from t = c.  The peeled syllable is carried leftwards through t: it passes
-    a syllable of an adjacent vertex, meets one of its own vertex in a
-    component lclm, and has no common multiple with any other.  What is left
-    of it, a, and the rewritten t' satisfy a*t = t'*(peeled syllable); a joins
-    s and t' replaces t.  Any syllable sequence for t serves, so s and t stay
-    raw syllable lists and are reduced once at the end.
+    Read as translation by c followed by inverse translation by d, rewritten as
+    inverse translation by s followed by translation by t.  Like subword
+    reversing, d is peeled one syllable at a time from the right, starting from
+    t = c, and the peeled syllable a, of vertex v, is carried down t, which
+    keeps c's positions: each vertex's top live one (``tops``) and the next one
+    below each (``below``).  A blocker's top above v's leaves no common
+    multiple; v's top meets a in a component lclm, whose cofactor replaces its
+    payload, or drops it while the rest of a goes on; with neither live, a
+    joins s.  O((|c|+|d|) |V|), plus one kernel pass each for s and t.
     """
     gp = c.gp
     if d.is_identity():
         return identity(gp), c
-    t = list(c.expr)
+    indices, blockers = gp.indices, gp.non_neighbours
+    t: list[ComponentElement | None] = list(c.expr)
+    tops, below = [-1] * len(blockers), []
+    for pos, ce in enumerate(t):
+        v = indices[ce.vertex]
+        below.append(tops[v])
+        tops[v] = pos
     s: list[ComponentElement] = []  # right to left
-    for dce in reversed(d.expr):
-        a: ComponentElement | None = dce
-        b: list[ComponentElement] = []  # right to left
-        for ce in reversed(t):
-            if a is None or (ce.vertex != a.vertex and gp.adjacent(ce.vertex, a.vertex)):
-                b.append(ce)
-            elif ce.vertex == a.vertex:
-                res = comp_lclm(ce.payload, a.payload)
-                if res is None:
+    for a in reversed(d.expr):
+        v = indices[a.vertex]
+        while True:
+            top = tops[v]
+            for u in blockers[v]:
+                if tops[u] > top:
                     return None
-                sa, tc, _ = res
-                a = ComponentElement(ce.vertex, sa) if sa else None
-                if tc:
-                    b.append(ComponentElement(ce.vertex, tc))
-            else:
+            if top < 0:  # a passes everything left in t
+                s.append(a)
+                break
+            if (res := comp_lclm(t[top].payload, a.payload)) is None:
                 return None
-        b.reverse()
-        t = b
-        if a is not None:
-            s.append(a)
-    s.reverse()
-    return GPElement(gp, shuffle_reduce(gp, s)), GPElement(gp, shuffle_reduce(gp, t))
+            sa, tc, _ = res
+            if tc:  # then sa is the identity: a is absorbed
+                t[top] = ComponentElement(a.vertex, tc)
+                break
+            t[top], tops[v] = None, below[top]
+            if not sa:
+                break
+            a = ComponentElement(a.vertex, sa)
+    return (GPElement(gp, shuffle_reduce(gp, s[::-1])),
+            GPElement(gp, shuffle_reduce(gp, [ce for ce in t if ce is not None])))
 
 
 def lclm(b: GPElement, c: GPElement) -> tuple[GPElement, GPElement, GPElement] | None:
@@ -488,16 +494,16 @@ def lclm(b: GPElement, c: GPElement) -> tuple[GPElement, GPElement, GPElement] |
     return s, t, m
 
 
-def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPElement]:
-    """(x, a', b') with x = hclf(a, b), a = x*a' and b = x*b': while some
-    vertex is available in both fronts, least first, with a nonidentity
-    component hclf f of its heads, f joins x and is stripped from both heads.
-    Peeling never makes two syllables mergeable, so the rest of each front
-    reads off as a' and b'.  O(n |V|)."""
+def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, Iterator, Iterator]:
+    """(x, a', b') with x = hclf(a, b), a = x*a', b = x*b', and a' and b' left
+    unread: while some vertex is available in both fronts, least first, with
+    a nonidentity component hclf f of its heads, f joins x and is stripped
+    from both heads.  Peeling never makes two syllables mergeable, so each
+    front, an iterator, reads off its rest as a' or b'.  O(n |V|)."""
     _require_same(a, b)
     gp = a.gp
     if not (a.expr and b.expr):
-        return identity(gp), a, b
+        return identity(gp), iter(a.expr), iter(b.expr)
     fronts = [_pile(gp, a.expr), _pile(gp, b.expr)]
     (pa, ha, wa), (pb, hb, wb) = states = [next(front) for front in fronts]
     common: list[ComponentElement] = []
@@ -514,11 +520,10 @@ def _strip_hclf(a: GPElement, b: GPElement) -> tuple[GPElement, GPElement, GPEle
                         front.send(v)
                 v = -1  # least vertex first again
         v += 1
-    return (GPElement(gp, shuffle_reduce(gp, common)),
-            *(GPElement(gp, tuple(list(front))) for front in fronts))
+    return GPElement(gp, shuffle_reduce(gp, common)), *fronts
 
 
 def hclf(a: GPElement, b: GPElement) -> GPElement:
     """Highest common left factor: the pieces one strip peels off the
-    fronts of a and b together (``_strip_hclf``)."""
+    fronts of a and b together (``_strip_hclf``), whose rests stay unread."""
     return _strip_hclf(a, b)[0]

@@ -132,7 +132,7 @@ def max_above(s: IHElement) -> IHPair:
     common left factor of its coordinates."""
     if s is ZERO:
         raise ValueError("zero has no maximal element above it")
-    return IHPair(*_strip_hclf(s.a, s.b)[1:])
+    return IHPair(*(GPElement(s.a.gp, tuple(list(front))) for front in _strip_hclf(s.a, s.b)[1:]))
 
 
 def green_L(s: IHElement, t: IHElement) -> bool:

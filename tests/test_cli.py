@@ -261,6 +261,14 @@ def test_eta_to_zero_fails(monkeypatch):
     assert (result.passed, result.detail) == (False, "purity fails at [1 | 1]")
 
 
+def test_eta_without_nonzero_products_fails():
+    # [x1 | x3]^2 = 0 on p3, so no draw finds a product to judge
+    p3 = builtin("p3")
+    pairs = [ihull.IHPair(make_element(p3, "x1"), make_element(p3, "x3"))]
+    result = checks.check_eta(random.Random(1), pairs, 1)
+    assert (result.passed, result.detail) == (False, "0 nonzero products in 100 draws")
+
+
 def test_check_planted_fault_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(gproduct, "lclm", non_least_lclm)
     code, out, _ = run(capsys, "check", "--max-len", "2", "--max-vertices", "2")

@@ -558,6 +558,26 @@ def test_hclf_long_common_prefix():
     assert hclf(m.a, m.b) == identity(gp)
 
 
+def test_lclm_long_words():
+    # on the 4-cycle x1-x2-x4-x3-x1, every letter of (x2 x3)^k commutes with
+    # every letter of (x1 x4)^k, so each of the second's 2k syllables is
+    # carried past all of the first; a walk over all of t per carried
+    # syllable takes about 2 s at k = 2,000
+    gp = parse_graph("".join(f"vertex x{i} mono\n" for i in range(1, 5))
+                     + "edge x1 x2\nedge x2 x4\nedge x4 x3\nedge x3 x1\n")
+    b, c = make_element(gp, "x2 x3 " * 2000), make_element(gp, "x1 x4 " * 2000)
+    t0 = time.perf_counter()
+    s, t, m = lclm(b, c)
+    assert time.perf_counter() - t0 < 1.0
+    assert m == multiply(s, b) == multiply(t, c) == multiply(b, c)
+    # x*w against y*w: w cancels syllable by syllable, leaving lclm(x, y)
+    rng = random.Random(9)
+    gp = builtin("mixed")  # u free on p, q; w mono; u and w adjacent
+    w = " ".join(rng.choice(gp.all_letters()) for _ in range(2000))
+    s, t, m = lclm(make_element(gp, f"p {w}"), make_element(gp, f"w {w}"))
+    assert (s, t) == (make_element(gp, "w"), make_element(gp, "p"))
+
+
 @given(graph_and_words(num_words=2, max_letters=4))
 @settings(max_examples=50, deadline=None)
 def test_hclf_matches_oracle(gw):

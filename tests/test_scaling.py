@@ -14,7 +14,7 @@ import pytest
 from polygraph import gproduct
 from polygraph.builtin import mono_graph
 from polygraph.gproduct import (
-    GPElement, final_component, hclf, initial_component, make_element, multiply,
+    GPElement, final_component, hclf, initial_component, lclm, make_element, multiply,
 )
 from polygraph.ihull import IHPair, max_above
 from polygraph.ragroup import eta, group_reduce
@@ -61,12 +61,24 @@ def common_pair(gp, n, seed):
     return multiply(c, a), multiply(c, b)
 
 
+def multiple_pair(gp, n, seed):
+    """u*w and v*w, u over x1, x2 and v over x3, x5 with n/4 letters each:
+    on graph() each of x1, x2 is adjacent to each of x3 and x5, so lclm
+    carries all of w's syllables into their matches and v past u, giving
+    s = v and t = u."""
+    rng = random.Random(seed)
+    u, v = (" ".join(rng.choice(pair) for _ in range(n // 4)) for pair in (("x1", "x2"), ("x3", "x5")))
+    w = words(gp, n, seed)[0]
+    return make_element(gp, f"{u} {w}"), make_element(gp, f"{v} {w}")
+
+
 # each builds its inputs uncounted and returns the counted call
 LAYERS = {
     "make_element": lambda gp, n, seed: partial(make_element, gp, words(gp, n, seed)[0]),
     "multiply": lambda gp, n, seed: partial(multiply, *elements(gp, n, seed)[:2]),
     "hclf": lambda gp, n, seed: partial(hclf, *common_pair(gp, n, seed)),
     "max_above": lambda gp, n, seed: partial(max_above, IHPair(*common_pair(gp, n, seed))),
+    "lclm": lambda gp, n, seed: partial(lclm, *multiple_pair(gp, n, seed)),
     "initial_component": lambda gp, n, seed: (
         lambda a=elements(gp, n, seed)[0]: initial_component(a, a.expr[0].vertex)
     ),
@@ -81,11 +93,23 @@ def syllables(*elems):
     return sum(len(e.expr) for e in elems)
 
 
+def read_back(*elems):
+    """The syllables kernel passes pile to read elems back: shuffle_reduce
+    piles nothing below 2 syllables."""
+    return sum(len(e.expr) for e in elems if len(e.expr) >= 2)
+
+
 def strip_work(a, b):
-    """Both piles of the strip, plus the kernel pass that reads the hclf back
-    (shuffle_reduce piles nothing below 2 syllables)."""
-    h = syllables(hclf(a, b))
-    return syllables(a, b) + (h if h >= 2 else 0)
+    """Both piles of the strip, plus the kernel pass that reads the hclf back."""
+    return syllables(a, b) + read_back(hclf(a, b))
+
+
+def lclm_work(b, c):
+    """The two products of lclm's invariant check, plus the passes that read
+    s and t back; for multiple_pair, no two syllables of u, or of v, merge in
+    them, so each is read back from as many syllables as it has."""
+    s, t, _ = lclm(b, c)
+    return syllables(s, b) + syllables(t, c) + read_back(s, t)
 
 
 # the syllables each layer piles, from its inputs; computed before the counted call
@@ -94,6 +118,7 @@ WORK = {
     "multiply": lambda gp, n, seed: syllables(*elements(gp, n, seed)[:2]),
     "hclf": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
     "max_above": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
+    "lclm": lambda gp, n, seed: lclm_work(*multiple_pair(gp, n, seed)),
     "initial_component": lambda gp, n, seed: syllables(elements(gp, n, seed)[0]) - 1,
     "group_reduce": lambda gp, n, seed: (  # one per signed run
         len(list(groupby(words(gp, n, seed, signed=True)[0].split())))
