@@ -10,9 +10,11 @@ product of group words on the all-monogenic graphs.  Last, each graph gets
 one right and one left division of a product of two 60-100 letter words,
 then the lclm of x*w and y*w for a 60-100 letter w, once for two random
 letters x and y and once, where the graph has two, for letters whose
-vertices block each other, so that no common multiple exists.  Every
-result is one case, rendered exactly (syllable by syllable, payload types
-included), and the script prints the number of cases and a sha256 over
+vertices block each other, so that no common multiple exists, and then
+natural_le of [x*c | x*d] against [c | d], which holds, and against
+[y*c | d] for a letter y, which does not, on 60-100 letter words x, c and d.
+Every result is one case, rendered exactly (syllable by syllable, payload
+types included), and the script prints the number of cases and a sha256 over
 them.
 
 Two trees give the same digest exactly when they give the same outputs, so
@@ -169,6 +171,12 @@ def cases(seed: int, num_graphs: int):
         for name, x, y in pairs:
             w = " ".join(rng.choices(letters, k=rng.randint(60, 100)))
             yield name, lclm(make_element(gp, f"{x} {w}"), make_element(gp, f"{y} {w}"))
+    for gp, letters in graphs:
+        x, c, d = (make_element(gp, " ".join(rng.choices(letters, k=rng.randint(60, 100))))
+                   for _ in range(3))
+        s, y = IHPair(multiply(x, c), multiply(x, d)), make_element(gp, rng.choice(letters))
+        yield "natural_le-long", natural_le(s, IHPair(c, d))
+        yield "natural_le-long?", natural_le(s, IHPair(multiply(y, c), d))
 
 
 def main() -> None:

@@ -35,8 +35,8 @@ class ComponentElement(Value):
     payload: Payload
 
     def __init__(self, vertex: str, payload: Payload) -> None:
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "payload", payload)
+        _set_vertex(self, vertex)
+        _set_payload(self, payload)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -49,6 +49,9 @@ class ComponentElement(Value):
     def __str__(self) -> str:
         p = self.payload
         return _write_runs([(self.vertex, p)] if isinstance(p, int) else zip(p, repeat(1)))
+
+
+_set_vertex, _set_payload = ComponentElement.vertex.__set__, ComponentElement.payload.__set__
 
 
 def _read_tokens(
@@ -109,13 +112,13 @@ class GPElement(Value):
     expr: tuple[ComponentElement, ...]
 
     def __init__(self, gp: GraphProduct, expr: tuple[ComponentElement, ...]) -> None:
-        object.__setattr__(self, "gp", gp)
-        object.__setattr__(self, "expr", expr)
+        _set_gp(self, gp)
+        _set_expr(self, expr)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.gp, self.expr) == (other.gp, other.expr)
+        return (self.gp is other.gp or self.gp == other.gp) and self.expr == other.expr
 
     def __hash__(self) -> int:
         # __eq__ compares gp as well; hashing it would rehash the whole graph
@@ -146,6 +149,9 @@ class GPElement(Value):
 
     def __repr__(self) -> str:
         return f"<GPElement {self}>"
+
+
+_set_gp, _set_expr = GPElement.gp.__set__, GPElement.expr.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ def component_embed(gp: GraphProduct, v: str, payload: Payload) -> GPElement:
 
 
 def _require_same(a: GPElement, b: GPElement) -> None:
-    if a.gp != b.gp:
+    if a.gp is not b.gp and a.gp != b.gp:
         raise ValueError("elements belong to different graphs")
 
 

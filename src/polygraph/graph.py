@@ -22,17 +22,30 @@ class Value:
     """Immutable value object.
 
     A subclass names its fields in ``_fields``; instances compare and hash by
-    type and field values, and refuse assignment after ``__init__``.  Classes
-    built in hot loops write their own ``__init__``, ``__eq__`` and
-    ``__hash__``, because the generic ones below loop over ``_fields``.
+    type and field values, and refuse assignment after ``__init__``.
+
+    Construction writes each slot through its class's own slot descriptor,
+    taken once when the subclass is created: ``_setters`` holds one
+    ``Cls.name.__set__`` per name in ``__slots__``, in order.  A descriptor's
+    ``__set__`` writes past the refusing ``__setattr__`` below without looking
+    the field name up on each call, a lookup that made up over a third of the
+    cost of building a two-field value.  Classes built in hot loops write their
+    own ``__init__`` from module-level setters (``_set_vertex =
+    ComponentElement.vertex.__set__``), ``__eq__`` and ``__hash__``, because
+    the generic ones below loop over their fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -83,7 +96,6 @@ class GraphProduct(Value):
         entries: tuple[tuple[str, tuple[str, ...] | None], ...],
         edges: frozenset[frozenset[str]],
     ) -> None:
-        super().__init__(entries, edges)
         vertices = tuple(v for v, _ in entries)
         index = {v: i for i, v in enumerate(vertices)}
         neighbours: dict[str, set[str]] = {v: set() for v in vertices}
@@ -91,19 +103,20 @@ class GraphProduct(Value):
             neighbours[u].add(v)
             neighbours[v].add(u)
         alphabets = {v: (v,) if letters is None else letters for v, letters in entries}
-        for name, value in (
-            ("vertices", vertices),
-            ("indices", index),
-            ("neighbours", {v: frozenset(n) for v, n in neighbours.items()}),
-            ("non_neighbours", tuple(
+        super().__init__(  # every slot, in __slots__ order
+            entries,
+            edges,
+            vertices,
+            index,
+            {v: frozenset(n) for v, n in neighbours.items()},
+            tuple(
                 tuple(index[u] for u in vertices if u != v and u not in neighbours[v])
                 for v in vertices
-            )),
-            ("alphabets", alphabets),
-            ("letter_vertex", {a: v for v, letters in alphabets.items() for a in letters}),
-            ("_kinds", dict(entries)),
-        ):
-            object.__setattr__(self, name, value)
+            ),
+            alphabets,
+            {a: v for v, letters in alphabets.items() for a in letters},
+            dict(entries),
+        )
 
     def vertex_index(self, v: str) -> int:
         try:

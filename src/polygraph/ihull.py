@@ -23,7 +23,6 @@ from .gproduct import (
     lclm,
     make_element,
     multiply,
-    right_divide,
 )
 from .graph import GraphProduct, Value
 
@@ -56,8 +55,8 @@ class IHPair(Value):
     b: GPElement
 
     def __init__(self, a: GPElement, b: GPElement) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -72,6 +71,9 @@ class IHPair(Value):
 
     def __repr__(self) -> str:
         return f"<IHPair {self}>"
+
+
+_set_a, _set_b = IHPair.a.__set__, IHPair.b.__set__
 
 
 IHElement = IHPair | _Zero
@@ -116,15 +118,18 @@ def is_idempotent(s: IHElement) -> bool:
 
 
 def natural_le(s: IHElement, t: IHElement) -> bool:
-    """The natural partial order; witnessed by a single right division."""
+    """The natural partial order, s <= t exactly when s = ss^-1 t: t.a
+    right-divides s.a with a quotient x, and s.b = x*t.b.  Without units, t.a
+    right-divides s.a exactly when lclm(s.a, t.a) = (1, x, s.a), so one lclm
+    decides both, in O(n |V|)."""
     if s is ZERO:
         return True
     if t is ZERO:
         return False
-    x = right_divide(s.a, t.a)
-    if x is None:
+    res = lclm(s.a, t.a)
+    if res is None or not res[0].is_identity():
         return False
-    return s.b == multiply(x, t.b)
+    return s.b == multiply(res[1], t.b)
 
 
 def max_above(s: IHElement) -> IHPair:

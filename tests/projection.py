@@ -1,4 +1,4 @@
-"""Trace-monoid judge of lclm, hclf and max_above on long words.
+"""Trace-monoid judge of lclm, hclf, max_above and natural_le on long words.
 
 Every supported component is a free monoid (a monogenic one on one letter),
 so a graph product is the trace monoid on its letters, in which two letters
@@ -23,7 +23,13 @@ Its criteria:
 - two elements have a common nonidentity left factor exactly when some
   letter left-divides both, and a letter left-divides a word exactly when it
   occurs in it and every letter before its first occurrence commutes with
-  it.
+  it;
+- c right-divides a exactly when every projection of c is a suffix of the
+  same one of a, and the quotient projects onto what precedes that suffix;
+  so [a | b] <= [c | d] in the inverse hull, that is a = x*c and b = x*d,
+  exactly when, for every dependent pair, the projection of c is a suffix of
+  that of a and the projection of b is that of a with the suffix removed,
+  followed by that of d.
 
 Standard library only.
 """
@@ -117,6 +123,21 @@ class TraceModel:
             return f"s*b = t*c = m fails for lclm({b}, {c}) = {tuple(result)}"
         if not self.coprime(s, t):
             return f"s = {result[0]} and t = {result[1]} share a left factor: lclm({b}, {c}) is not least"
+        return None
+
+    def judge_natural_le(self, s: Sequence[str], t: Sequence[str], result: bool) -> str | None:
+        """None when ``result`` is whether s <= t, for s = (a, b) and
+        t = (c, d) printed; else what is wrong with it."""
+        pa, pb, pc, pd = (self.projections(letters(w)) for w in (*s, *t))
+        le = True
+        for pair in pa.keys() | pb.keys() | pc.keys() | pd.keys():
+            a, b, c, d = (p.get(pair, []) for p in (pa, pb, pc, pd))
+            k = len(a) - len(c)
+            if k < 0 or a[k:] != c or b != a[:k] + d:
+                le = False
+                break
+        if result != le:
+            return f"natural_le([{s[0]} | {s[1]}], [{t[0]} | {t[1]}]) is {result}, but should be {le}"
         return None
 
     def judge_hclf(self, a: str, b: str, x: str, a_rest: str, b_rest: str) -> str | None:

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,26 @@ def test_natural_le_matches_idempotent_definition(small_pairs):
         for t in sample[:40]:
             e = ih_multiply(s, ih_inverse(s))
             assert natural_le(s, t) == (ih_multiply(e, t) == s)
+
+
+def test_natural_le_long_words():
+    # one lclm decides the order; the right division by peeling that did it
+    # before took 0.2-0.5 s on these inputs, and about 4x per doubling
+    rng = random.Random(4)
+    mixed = parse_graph("vertex u free p q\nvertex w mono\nvertex x mono\nedge u w\n")
+    for gp, commuting in ((builtin("p3"), "x1 x2"), (mixed, "p w")):
+        x, c, d = (make_element(gp, " ".join(rng.choices(gp.all_letters(), k=1500)))
+                   for _ in range(3))
+        t = IHPair(c, d)
+        t0 = time.perf_counter()
+        assert natural_le(IHPair(x * c, x * d), t)
+        assert not natural_le(t, IHPair(x * c, x * d))  # x*c does not divide c
+        assert not natural_le(IHPair(x * c, d), t)  # d is not x*d
+        # a and b commute, so lclm(a*c, b*c) = (b, a, b*a*c): a*d is the
+        # second cofactor times d, but the first is not the identity
+        a, b = (make_element(gp, y) for y in commuting.split())
+        assert not natural_le(IHPair(a * c, a * d), IHPair(b * c, d))
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_max_above_examples(p3):

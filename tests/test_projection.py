@@ -1,5 +1,5 @@
-"""lclm, hclf and max_above at 200-2,000 letters, judged by the trace-monoid
-model of ``projection.py`` on seeded mono and mixed graphs."""
+"""lclm, hclf, max_above and natural_le at 200-2,000 letters, judged by the
+trace-monoid model of ``projection.py`` on seeded mono and mixed graphs."""
 
 import random
 
@@ -9,7 +9,7 @@ from polygraph import oracle
 from polygraph.builtin import all_mono_graphs, builtin
 from polygraph.gproduct import hclf, lclm, make_element
 from polygraph.graph import parse_graph
-from polygraph.ihull import IHPair, max_above
+from polygraph.ihull import IHPair, ih_inverse, ih_multiply, max_above, natural_le
 
 from projection import TraceModel
 
@@ -94,6 +94,38 @@ def test_hclf_and_max_above_projection(gp):
             assert judge.judge_hclf(a, b, str(hclf(ea, eb)), str(rest.a), str(rest.b)) is None
 
 
+def le_cases(gp, rng, n):
+    """Pairs (s, t) of printed inverse-hull pairs: [x*c | x*d] against
+    [c | d], which holds; [x*c | d] against it, where c divides x*c but d is
+    not x*d; and for each lclm case (a, c) with a common multiple
+    u*a = w*c, [a | w*d] against [c | d], which holds exactly when u is the
+    identity."""
+    letters = gp.all_letters()
+
+    def word(k):
+        return " ".join(rng.choice(letters) for _ in range(k))
+
+    x, c, d = word(n), word(n), word(n)
+    yield (f"{x} {c}", f"{x} {d}"), (c, d)
+    yield (f"{x} {c}", d), (c, d)
+    for a, c in lclm_cases(gp, rng, n):
+        res = lclm(make_element(gp, a), make_element(gp, c))
+        if res is not None:
+            yield (a, f"{res[1]} {d}"), (c, d)
+
+
+@pytest.mark.parametrize("gp", graphs(), ids=GRAPH_IDS)
+def test_natural_le_projection(gp):
+    judge, rng = model(gp), random.Random(str(gp.entries))
+    verdicts = set()
+    for n in LENGTHS:
+        for s, t in le_cases(gp, rng, n):
+            res = natural_le(*(IHPair(*(make_element(gp, w) for w in pair)) for pair in (s, t)))
+            assert judge.judge_natural_le(s, t, res) is None
+            verdicts.add(res)
+    assert verdicts == {True, False}
+
+
 def test_judge_rejects_wrong_answers():
     gp = builtin("mixed")  # u free on p, q; w mono; u and w adjacent
     judge = model(gp)
@@ -106,11 +138,28 @@ def test_judge_rejects_wrong_answers():
     assert judge.judge_hclf("p w", "p q", "p", "w", "q") is None
     assert judge.judge_hclf("p w", "p q", "1", "p w", "p q")  # not highest
     assert judge.judge_hclf("p w", "p q", "p", "w", "p")  # b is not x*b'
+    assert judge.judge_natural_le(("p w", "p q"), ("w", "q"), True) is None
+    assert judge.judge_natural_le(("p w", "p q"), ("w", "q"), False)  # x = p
+    assert judge.judge_natural_le(("q w", "p q"), ("w", "q"), True)  # p q is not q q
+    assert judge.judge_natural_le(("p", "p"), ("w", "1"), True)  # w does not divide p
 
 
 def short_graphs():
     return [builtin(name) for name in ("p3", "k2_edgeless", "mixed")] + [
         g for n in (2, 3) for g in all_mono_graphs(n)]
+
+
+def test_judge_agrees_with_natural_le_on_short_words():
+    # s <= t exactly when s = ss^-1 t, by products whose lclm the oracles
+    # judge on these, so this checks the judge's criterion
+    for gp in short_graphs():
+        judge = model(gp)
+        pairs = [IHPair(a, b) for a in oracle.elements_up_to(gp, 2) for b in oracle.elements_up_to(gp, 1)]
+        for s in pairs:
+            e = ih_multiply(s, ih_inverse(s))
+            for t in pairs:
+                text = (str(s.a), str(s.b)), (str(t.a), str(t.b))
+                assert judge.judge_natural_le(*text, ih_multiply(e, t) == s) is None, gp
 
 
 def test_judge_agrees_with_lclm_on_short_words():

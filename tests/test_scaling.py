@@ -16,7 +16,7 @@ from polygraph.builtin import mono_graph
 from polygraph.gproduct import (
     GPElement, final_component, hclf, initial_component, lclm, make_element, multiply,
 )
-from polygraph.ihull import IHPair, max_above
+from polygraph.ihull import IHPair, max_above, natural_le
 from polygraph.ragroup import eta, group_reduce
 
 SIZES = (250, 500, 1000)  # letters per word
@@ -72,6 +72,12 @@ def multiple_pair(gp, n, seed):
     return make_element(gp, f"{u} {w}"), make_element(gp, f"{v} {w}")
 
 
+def le_pair(gp, n, seed):
+    """s = [x*c | x*d] and t = [c | d], so that s <= t."""
+    x, c, d = elements(gp, n, seed)
+    return IHPair(multiply(x, c), multiply(x, d)), IHPair(c, d)
+
+
 # each builds its inputs uncounted and returns the counted call
 LAYERS = {
     "make_element": lambda gp, n, seed: partial(make_element, gp, words(gp, n, seed)[0]),
@@ -79,6 +85,7 @@ LAYERS = {
     "hclf": lambda gp, n, seed: partial(hclf, *common_pair(gp, n, seed)),
     "max_above": lambda gp, n, seed: partial(max_above, IHPair(*common_pair(gp, n, seed))),
     "lclm": lambda gp, n, seed: partial(lclm, *multiple_pair(gp, n, seed)),
+    "natural_le": lambda gp, n, seed: partial(natural_le, *le_pair(gp, n, seed)),
     "initial_component": lambda gp, n, seed: (
         lambda a=elements(gp, n, seed)[0]: initial_component(a, a.expr[0].vertex)
     ),
@@ -112,6 +119,12 @@ def lclm_work(b, c):
     return syllables(s, b) + syllables(t, c) + read_back(s, t)
 
 
+def le_work(s, t):
+    """lclm(s.a, t.a), whose second cofactor is x, then the product x*t.b."""
+    x = lclm(s.a, t.a)[1]
+    return lclm_work(s.a, t.a) + syllables(x, t.b)
+
+
 # the syllables each layer piles, from its inputs; computed before the counted call
 WORK = {
     "make_element": lambda gp, n, seed: len(words(gp, n, seed)[0].split()),  # one per token
@@ -119,6 +132,7 @@ WORK = {
     "hclf": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
     "max_above": lambda gp, n, seed: strip_work(*common_pair(gp, n, seed)),
     "lclm": lambda gp, n, seed: lclm_work(*multiple_pair(gp, n, seed)),
+    "natural_le": lambda gp, n, seed: le_work(*le_pair(gp, n, seed)),
     "initial_component": lambda gp, n, seed: syllables(elements(gp, n, seed)[0]) - 1,
     "group_reduce": lambda gp, n, seed: (  # one per signed run
         len(list(groupby(words(gp, n, seed, signed=True)[0].split())))
