@@ -90,9 +90,9 @@ def check_lclm(families: Sequence[Sequence[GPElement]]) -> CheckResult:
     return CheckResult("lclm", True, f"{tried} oracle comparisons")
 
 
-def check_hclf(rng: random.Random, max_len: int) -> CheckResult:
+def check_hclf(rng: random.Random, graphs: Sequence[GraphProduct], max_len: int) -> CheckResult:
     for _ in range(150):
-        gp = builtin(rng.choice(["p3", "k3", "k2_edgeless", "mixed"]))
+        gp = rng.choice(graphs)
         a = random_element(gp, rng, max_len)
         b = random_element(gp, rng, max_len)
         if gproduct.hclf(a, b) != oracle.hclf_oracle(a, b):
@@ -162,20 +162,22 @@ def check_eta(rng: random.Random, pairs: Sequence[ihull.IHPair], products: int) 
 
 def run_all(seed: int, max_len: int, max_vertices: int) -> list[CheckResult]:
     """The suites at interactive bounds, each with a fresh seeded rng."""
-    builtins = [builtin(name) for name in BUILTIN_GRAPH_TEXTS]
+    named = {name: builtin(name) for name in BUILTIN_GRAPH_TEXTS}
+    builtins = list(named.values())
     monos = [gp for n in range(1, min(max_vertices, 3) + 1) for gp in all_mono_graphs(n)]
     rng = random.Random(seed)
     samples = []
     for gp in monos:
         elems = oracle.elements_up_to(gp, min(max_len, 3))
         samples.append(elems if len(elems) <= 12 else rng.sample(elems, 12))
-    p3 = oracle.elements_up_to(builtin("p3"), 2)
+    p3 = oracle.elements_up_to(named["p3"], 2)
     pairs = [ihull.IHPair(a, b) for a in p3 for b in p3]
     return [
         check_normal_form(builtins, min(max_len, 4)),
         check_cancellation(random.Random(seed), builtins, 400, max_len),
         check_lclm(samples),
-        check_hclf(random.Random(seed), min(max_len, 4)),
+        check_hclf(random.Random(seed), [named[n] for n in ("p3", "k3", "k2_edgeless", "mixed")],
+                   min(max_len, 4)),
         check_presentation(builtins + monos),
         check_inverse_axioms(pairs),
         check_eta(random.Random(seed), pairs, 400),

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 All algebra commands need a graph file (``-g``); output is deterministic for
-fixed inputs.  Domain failures (no quotient, no common multiple, zero input)
-print "none"/"0" and exit 1 so shell pipelines can branch; usage and parse
-errors, inputs too deep for the interpreter's recursion limit, exhausted
-memory and broken internal invariants (RuntimeError) exit 2 with an error line.
+fixed inputs.  Each command returns its result and ``main`` writes it, as text
+or as the JSON envelope ``{"result", "status", "detail"}``.  Exit codes: 0 on
+success; 1 for a well-posed negative answer (no quotient, no common multiple,
+the maximal element of zero: "none"/"0" on stdout, so shell pipelines can
+branch) or a failing ``check``; 2, with an error line, for malformed input, a
+missing file, a broken internal invariant (RuntimeError), an input too deep
+for the interpreter's recursion limit or exhausted memory.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ from .builtin import DEFAULT_SEED
 from .gproduct import make_element
 from .graph import GraphError, GraphProduct, parse_graph
 
+# (name, help, *params) of the commands that take plain arguments
+_PLAIN = (
+    ("nf", "canonical normal form of a word", "word"),
+    ("eq", "equality of two words", "w1", "w2"),
+    ("mul", "product of two words", "w1", "w2"),
+    ("divide", "b with a = b*c, or none", "a", "c"),
+    ("final", "final v-component and complement", "vertex", "word"),
+    ("lclm", "least common left multiple", "b", "c"),
+    ("hclf", "highest common left factor", "a", "b"),
+)
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -28,26 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("nf", help="canonical normal form of a word")
-    sp.add_argument("word")
-    sp = sub.add_parser("eq", help="equality of two words")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
-    sp = sub.add_parser("mul", help="product of two words")
-    sp.add_argument("w1")
-    sp.add_argument("w2")
-    sp = sub.add_parser("divide", help="b with a = b*c, or none")
-    sp.add_argument("a")
-    sp.add_argument("c")
-    sp = sub.add_parser("final", help="final v-component and complement")
-    sp.add_argument("vertex")
-    sp.add_argument("word")
-    sp = sub.add_parser("lclm", help="least common left multiple")
-    sp.add_argument("b")
-    sp.add_argument("c")
-    sp = sub.add_parser("hclf", help="highest common left factor")
-    sp.add_argument("a")
-    sp.add_argument("b")
+    for name, help_text, *params in _PLAIN:
+        sp = sub.add_parser(name, help=help_text)
+        for param in params:
+            sp.add_argument(param)
 
     sp = sub.add_parser("ih", help="inverse hull arithmetic")
     ih_sub = sp.add_subparsers(dest="ih_command", required=True)
@@ -73,19 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _print_json(obj: object) -> None:
-    import json  # only JSON output needs it
-
-    print(json.dumps(obj))
-
-
-def _emit(args, result: str, status: str = "ok", detail: str | None = None) -> None:
-    if args.format == "json":
-        _print_json({"result": result, "status": status, "detail": detail})
-    else:
-        print(result)
-
-
 def _load_graph(args) -> GraphProduct:
     if not args.graph:
         raise GraphError("this command needs a graph file (-g FILE)")
@@ -93,78 +77,57 @@ def _load_graph(args) -> GraphProduct:
         return parse_graph(f.read())
 
 
-def _run(args) -> int:
-    if args.command == "check":
+def _run(args) -> str | tuple[object, str, str | None]:
+    """The command's text, or (result, status, detail) when its status is
+    not ok."""
+    cmd = args.command
+    if cmd == "check":
         from . import checks  # with it the oracles; only this command needs them
 
         results = checks.run_all(args.seed, args.max_len, args.max_vertices)
-        failed = [r for r in results if not r.passed]
         if args.format == "json":
-            _print_json({
-                "result": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                "status": "ok" if not failed else "fail",
-                "detail": None,
-            })
+            rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
         else:
-            for r in results:
-                mark = "PASS" if r.passed else "FAIL"
-                print(f"{mark} {r.name}: {r.detail}")
-        return 0 if not failed else 1
+            rows = "\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results)
+        return rows, "ok" if all(r.passed for r in results) else "fail", None
 
     gp = _load_graph(args)
-
-    if args.command == "nf":
-        _emit(args, str(make_element(gp, args.word)))
-    elif args.command == "eq":
-        _emit(args, "true" if make_element(gp, args.w1) == make_element(gp, args.w2) else "false")
-    elif args.command == "mul":
-        _emit(args, str(make_element(gp, args.w1) * make_element(gp, args.w2)))
-    elif args.command == "divide":
+    if cmd == "nf":
+        return str(make_element(gp, args.word))
+    if cmd == "eq":
+        return "true" if make_element(gp, args.w1) == make_element(gp, args.w2) else "false"
+    if cmd == "mul":
+        return str(make_element(gp, args.w1) * make_element(gp, args.w2))
+    if cmd == "divide":
         b = gproduct.right_divide(make_element(gp, args.a), make_element(gp, args.c))
-        if b is None:
-            _emit(args, "none", status="none")
-            return 1
-        _emit(args, str(b))
-    elif args.command == "final":
+        return ("none", "none", None) if b is None else str(b)
+    if cmd == "final":
         d, comp = gproduct.final_component(make_element(gp, args.word), args.vertex)
-        _emit(args, f"{'1' if d is None else d} | {comp}")
-    elif args.command == "lclm":
+        return f"{'1' if d is None else d} | {comp}"
+    if cmd == "lclm":
         res = gproduct.lclm(make_element(gp, args.b), make_element(gp, args.c))
-        if res is None:
-            _emit(args, "none", status="none")
-            return 1
-        s, t, m = res
-        _emit(args, f"{s} | {t} | {m}")
-    elif args.command == "hclf":
-        _emit(args, str(gproduct.hclf(make_element(gp, args.a), make_element(gp, args.b))))
-    elif args.command == "ih":
+        return ("none", "none", None) if res is None else " | ".join(map(str, res))
+    if cmd == "hclf":
+        return str(gproduct.hclf(make_element(gp, args.a), make_element(gp, args.b)))
+    if cmd == "ih":
         elems = [ihull.parse_ihelement(gp, e) for e in args.elems]
-        if args.ih_command == "mul":
-            _emit(args, str(ihull.ih_multiply(*elems)))
-        elif args.ih_command == "inv":
-            _emit(args, str(ihull.ih_inverse(elems[0])))
-        elif args.ih_command == "le":
-            _emit(args, "true" if ihull.natural_le(*elems) else "false")
-        elif args.ih_command == "max":
-            if elems[0] is ihull.ZERO:
-                _emit(args, "0", status="error", detail="zero has no maximal element")
-                return 1
-            _emit(args, str(ihull.max_above(elems[0])))
-        elif args.ih_command == "idem":
-            _emit(args, "true" if ihull.is_idempotent(elems[0]) else "false")
-    elif args.command == "eval":
-        _emit(args, str(ihull.eval_word(gp, args.pgword)))
-    elif args.command == "group":
-        _emit(args, str(ragroup.group_reduce(gp, args.signedword)))
-    elif args.command == "present":
-        out = "\n".join(str(r) for r in ihull.generate_presentation(gp))
-        _emit(args, out)
-    else:  # pragma: no cover
-        raise AssertionError(args.command)
-    return 0
+        sub = args.ih_command
+        if sub == "mul":
+            return str(ihull.ih_multiply(*elems))
+        if sub == "inv":
+            return str(ihull.ih_inverse(*elems))
+        if sub == "le":
+            return "true" if ihull.natural_le(*elems) else "false"
+        if sub == "idem":
+            return "true" if ihull.is_idempotent(*elems) else "false"
+        if elems[0] is ihull.ZERO:  # max
+            return "0", "error", "zero has no maximal element"
+        return str(ihull.max_above(*elems))
+    if cmd == "eval":
+        return str(ihull.eval_word(gp, args.pgword))
+    if cmd == "group":
+        return str(ragroup.group_reduce(gp, args.signedword))
+    return "\n".join(str(r) for r in ihull.generate_presentation(gp))  # present
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,15 +138,25 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, option) < least:
                 parser.error(f"argument --{option.replace('_', '-')}: must be at least {least}")
     try:
-        return _run(args)
+        out = _run(args)
     # GraphError is a ValueError; RecursionError and oracle.BoundExceeded are RuntimeErrors
     except (ValueError, OSError, MemoryError, RuntimeError) as exc:
-        detail = str(exc) or exc.__class__.__name__  # a MemoryError often has no message
+        # a result of None marks a caught exception; a MemoryError often has no message
+        out = None, "error", str(exc) or exc.__class__.__name__
+    result, status, detail = out if isinstance(out, tuple) else (out, "ok", None)
+    try:
         if args.format == "json":
-            _print_json({"result": None, "status": "error", "detail": detail})
-        else:
+            import json  # only JSON output needs it
+
+            print(json.dumps({"result": result, "status": status, "detail": detail}))
+        elif result is None:
             print(f"error: {detail}", file=sys.stderr)
+        else:
+            print(result)
+    except OSError as exc:  # standard output closed early, as by `| head`
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if status == "ok" else 2 if result is None else 1
 
 
 if __name__ == "__main__":

@@ -40,9 +40,6 @@ class _Zero:
     def __repr__(self) -> str:
         return "0"
 
-    def __str__(self) -> str:
-        return "0"
-
 
 ZERO = _Zero()
 
@@ -252,7 +249,7 @@ def check_relations(gp: GraphProduct) -> RelationReport:
     for rel in rels:
         lhs = eval_word(gp, rel.left)
         rhs = ZERO if rel.right is ZERO else eval_word(gp, rel.right)
-        if lhs != rhs and not (lhs is ZERO and rhs is ZERO):
+        if lhs != rhs:
             bad.append(rel)
     return RelationReport(len(rels), tuple(bad))
 

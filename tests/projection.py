@@ -1,4 +1,5 @@
-"""Trace-monoid judge of lclm, hclf, max_above and natural_le on long words.
+"""Trace-monoid judge of lclm, hclf, max_above, natural_le and the two
+divisions on long words.
 
 Every supported component is a free monoid (a monogenic one on one letter),
 so a graph product is the trace monoid on its letters, in which two letters
@@ -26,7 +27,9 @@ Its criteria:
   it;
 - c right-divides a exactly when every projection of c is a suffix of the
   same one of a, and the quotient projects onto what precedes that suffix;
-  so [a | b] <= [c | d] in the inverse hull, that is a = x*c and b = x*d,
+  c left-divides a with prefixes, and the quotient projects onto what
+  follows them;
+- so [a | b] <= [c | d] in the inverse hull, that is a = x*c and b = x*d,
   exactly when, for every dependent pair, the projection of c is a suffix of
   that of a and the projection of b is that of a with the suffix removed,
   followed by that of d.
@@ -139,6 +142,42 @@ class TraceModel:
         if result != le:
             return f"natural_le([{s[0]} | {s[1]}], [{t[0]} | {t[1]}]) is {result}, but should be {le}"
         return None
+
+    def _quotient(self, a: str, c: str, right: bool) -> dict[tuple[str, str], list[str]] | None:
+        """The nonempty projections of b with a = b*c (right) or a = c*b
+        (left), or None when there is no such b: each projection of c must
+        be a suffix (a prefix) of the same one of a, and b's is the rest."""
+        pa, pc = self.projections(letters(a)), self.projections(letters(c))
+        out = {}
+        for pair in pa.keys() | pc.keys():
+            x, y = pa.get(pair, []), pc.get(pair, [])
+            k = len(x) - len(y)
+            if k < 0 or (x[k:] if right else x[:len(y)]) != y:
+                return None
+            rest = x[:k] if right else x[len(y):]
+            if rest:
+                out[pair] = rest
+        return out
+
+    def _judge_divide(self, name: str, a: str, c: str, result: str | None) -> str | None:
+        want = self._quotient(a, c, right=name == "right_divide")
+        if result is None and want is None:
+            return None
+        if result is None or want is None:
+            return f"{name}({a}, {c}) is {result}, but a quotient {'does not' if want is None else 'exists'}"
+        if self.projections(letters(result)) != want:
+            return f"{name}({a}, {c}) is {result}, a wrong quotient"
+        return None
+
+    def judge_right_divide(self, a: str, c: str, result: str | None) -> str | None:
+        """None when ``result``, the printed b with a = b*c or None for no
+        such b, is right; else what is wrong with it."""
+        return self._judge_divide("right_divide", a, c, result)
+
+    def judge_left_divide(self, a: str, c: str, result: str | None) -> str | None:
+        """None when ``result``, the printed b with a = c*b or None for no
+        such b, is right; else what is wrong with it."""
+        return self._judge_divide("left_divide", a, c, result)
 
     def judge_hclf(self, a: str, b: str, x: str, a_rest: str, b_rest: str) -> str | None:
         """None when x = hclf(a, b) and (a_rest, b_rest) are what a and b

@@ -34,13 +34,16 @@ CASES = [
     (['-g', 'graphs/p3.graph', 'ih', 'mul', '[1|x1]', '[x3|1]'], 0, '0\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'mul', '[x1|x2]', '[x2|x3]'], 0, '[x1 | x3]\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'inv', '[x1|x2 x3]'], 0, '[x2 x3 | x1]\n', ''),
+    (['-g', 'graphs/p3.graph', 'ih', 'inv', '[x1|x2]'], 0, '[x2 | x1]\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'le', '[x1 x2|x2 x3]', '[x1|x3]'], 0, 'true\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'max', '[x1 x2|x2 x3]'], 0, '[x1 | x3]\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'max', '0'], 1, '0\n', ''),
     (['-g', 'graphs/p3.graph', 'ih', 'idem', '[x1 x3|x1 x3]'], 0, 'true\n', ''),
+    (['-g', 'graphs/p3.graph', 'ih', 'idem', '[x1|x1]'], 0, 'true\n', ''),
     (['-g', 'graphs/p3.graph', 'eval', 'x1 x2^-1'], 0, '[x2 | x1]\n', ''),
     (['-g', 'graphs/p3.graph', 'eval', 'x1^5 x1^-3 x3^-1 x2'], 0, '0\n', ''),
     (['-g', 'graphs/p3.graph', 'group', 'nf', 'x1 x2 x1^-1'], 0, 'x2\n', ''),
+    (['-g', 'graphs/p3.graph', 'group', 'nf', 'x1^1000000000'], 0, 'x1^1000000000\n', ''),
     (['-g', 'graphs/p3.graph', 'present'], 0, (
         'x1 x1^-1 = 1\n'
         'x2 x2^-1 = 1\n'
@@ -86,6 +89,7 @@ CASES = [
     (['-g', 'graphs/k2_edgeless.graph', 'nf', 'x2 x1 x2 x1 x1'], 0, 'x2 x1 x2 x1^2\n', ''),
     (['-g', 'graphs/k2_edgeless.graph', 'group', 'nf', 'x1 x2 x2^-1 x1^-1 x2'], 0, 'x2\n', ''),
     (['-g', 'graphs/single.graph', 'nf', 'x^3 x^2'], 0, 'x^5\n', ''),
+    (['-g', 'graphs/single.graph', 'present'], 0, 'x x^-1 = 1\n', ''),
     (['--format', 'json', '-g', 'graphs/p3.graph', 'nf', 'x2 x1'], 0, '{"result": "x1 x2", "status": "ok", "detail": null}\n', ''),
     (['--format', 'json', '-g', 'graphs/p3.graph', 'divide', 'x1 x3', 'x1'], 1, '{"result": "none", "status": "none", "detail": null}\n', ''),
     (['--format', 'json', '-g', 'graphs/p3.graph', 'ih', 'max', '0'], 1, '{"result": "0", "status": "error", "detail": "zero has no maximal element"}\n', ''),
@@ -93,8 +97,12 @@ CASES = [
     (['--format', 'json', '-g', 'graphs/mixed.graph', 'lclm', 'p', 'q'], 1, '{"result": "none", "status": "none", "detail": null}\n', ''),
     (['--format', 'json', 'check', '--seed', '3', '--max-len', '2', '--max-vertices', '2'], 0, '{"result": [{"name": "normal-form", "passed": true, "detail": "63 closure comparisons"}, {"name": "right-cancellation", "passed": true, "detail": "400 random pairs"}, {"name": "lclm", "passed": true, "detail": "94 oracle comparisons"}, {"name": "hclf", "passed": true, "detail": "150 oracle comparisons"}, {"name": "presentation", "passed": true, "detail": "57 relations hold"}, {"name": "inverse-axioms", "passed": true, "detail": "121 elements"}, {"name": "eta", "passed": true, "detail": "121 elements, 400 products"}], "status": "ok", "detail": null}\n', ''),
     (['-g', 'graphs/p3.graph', 'nf', 'x9'], 2, '', "error: unknown letter 'x9'\n"),
+    (['-g', 'graphs/p3.graph', 'nf', 'bogus_letter'], 2, '', "error: unknown letter 'bogus_letter'\n"),
+    (['-g', 'graphs/p3.graph', 'nf', 'x1^^2'], 2, '', "error: bad token 'x1^^2'\n"),
     (['-g', 'graphs/p3.graph', 'nf', 'x1^0'], 2, '', "error: exponent on 'x1' must be >= 1\n"),
+    (['-g', 'graphs/p3.graph', 'nf', 'x1^-2'], 2, '', "error: exponent on 'x1' must be >= 1\n"),
     (['-g', 'graphs/p3.graph', 'eval', 'x1^2^3'], 2, '', "error: bad signed token 'x1^2^3'\n"),
+    (['-g', 'graphs/p3.graph', 'eval', 'x1^0'], 2, '', "error: zero exponent on 'x1'\n"),
     (['-g', 'graphs/missing.graph', 'nf', 'x1'], 2, '', "error: [Errno 2] No such file or directory: 'graphs/missing.graph'\n"),
     (['nf', 'x1'], 2, '', 'error: this command needs a graph file (-g FILE)\n'),
     (['-g', 'graphs/p3.graph', 'nf'], 2, '', None),

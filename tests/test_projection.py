@@ -1,5 +1,6 @@
-"""lclm, hclf, max_above and natural_le at 200-2,000 letters, judged by the
-trace-monoid model of ``projection.py`` on seeded mono and mixed graphs."""
+"""lclm, hclf, max_above, natural_le and the two divisions at 200-2,000
+letters, judged by the trace-monoid model of ``projection.py`` on seeded mono
+and mixed graphs."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from polygraph import oracle
 from polygraph.builtin import all_mono_graphs, builtin
-from polygraph.gproduct import hclf, lclm, make_element
+from polygraph.gproduct import hclf, lclm, left_divide, make_element, right_divide
 from polygraph.graph import parse_graph
 from polygraph.ihull import IHPair, ih_inverse, ih_multiply, max_above, natural_le
 
@@ -94,6 +95,45 @@ def test_hclf_and_max_above_projection(gp):
             assert judge.judge_hclf(a, b, str(hclf(ea, eb)), str(rest.a), str(rest.b)) is None
 
 
+def divide_cases(gp, rng, n):
+    """Pairs (a, c) of words, for x of n letters, c of n/4 and a letter z:
+    x*c against c, which divides; x*z*z*c against z*c, which divides and
+    leaves a remainder of the final z-component; x*z*c against z*z*c; x
+    against c; and c against the longer x, which never divides."""
+    letters = gp.all_letters()
+
+    def word(k):
+        return " ".join(rng.choice(letters) for _ in range(k))
+
+    x, c, z = word(n), word(n // 4), rng.choice(letters)
+    yield f"{x} {c}", c
+    yield f"{x} {z} {z} {c}", f"{z} {c}"
+    yield f"{x} {z} {c}", f"{z} {z} {c}"
+    yield x, c
+    yield c, x
+
+
+def mirror(word):
+    """The printed word read backwards: a = b*c exactly when
+    mirror(a) = mirror(c)*mirror(b), since every component is free."""
+    return " ".join(reversed(word.split()))
+
+
+@pytest.mark.parametrize("gp", graphs(), ids=GRAPH_IDS)
+def test_divide_projection(gp):
+    judge, rng = model(gp), random.Random(str(gp.entries))
+    verdicts = set()
+    for n in LENGTHS[:2]:  # each division peels one kernel pass per syllable
+        for a, c in divide_cases(gp, rng, n):
+            b = right_divide(make_element(gp, a), make_element(gp, c))
+            assert judge.judge_right_divide(a, c, None if b is None else str(b)) is None
+            a, c = mirror(a), mirror(c)
+            b2 = left_divide(make_element(gp, a), make_element(gp, c))
+            assert judge.judge_left_divide(a, c, None if b2 is None else str(b2)) is None
+            verdicts |= {b is None, b2 is None}
+    assert verdicts == {True, False}
+
+
 def le_cases(gp, rng, n):
     """Pairs (s, t) of printed inverse-hull pairs: [x*c | x*d] against
     [c | d], which holds; [x*c | d] against it, where c divides x*c but d is
@@ -142,6 +182,16 @@ def test_judge_rejects_wrong_answers():
     assert judge.judge_natural_le(("p w", "p q"), ("w", "q"), False)  # x = p
     assert judge.judge_natural_le(("q w", "p q"), ("w", "q"), True)  # p q is not q q
     assert judge.judge_natural_le(("p", "p"), ("w", "1"), True)  # w does not divide p
+    assert judge.judge_right_divide("p q w", "q w", "p") is None
+    assert judge.judge_right_divide("p q w", "p w", None) is None
+    assert judge.judge_right_divide("p q w", "q w", None)  # q w divides
+    assert judge.judge_right_divide("p q w", "p w", "q")  # p w does not divide
+    assert judge.judge_right_divide("p q w", "q w", "q")  # the quotient is p
+    assert judge.judge_right_divide("w p q", "w q", "p") is None  # w p q = p w q
+    assert judge.judge_right_divide("w p q", "w q", "q")  # the quotient is p
+    assert judge.judge_left_divide("p q w", "p w", "q") is None
+    assert judge.judge_left_divide("p q w", "q", None) is None
+    assert judge.judge_left_divide("p q w", "p", "q")  # the quotient is q w
 
 
 def short_graphs():
@@ -170,3 +220,16 @@ def test_judge_agrees_with_lclm_on_short_words():
             for c in elems:
                 res = lclm(b, c)
                 assert judge.judge_lclm(str(b), str(c), res and tuple(map(str, res))) is None, gp
+
+
+def test_judge_agrees_with_divisions_on_short_words():
+    # the divisions are judged by the oracles on these, so this checks the
+    # judge's criteria
+    for gp in short_graphs():
+        judge, elems = model(gp), oracle.elements_up_to(gp, 2)
+        for a in elems:
+            for c in elems:
+                a_, c_ = str(a), str(c)
+                b, b2 = right_divide(a, c), left_divide(a, c)
+                assert judge.judge_right_divide(a_, c_, None if b is None else str(b)) is None, gp
+                assert judge.judge_left_divide(a_, c_, None if b2 is None else str(b2)) is None, gp
